@@ -14,8 +14,8 @@
 //!   and wear model, i.e. its own simulated device;
 //! * [`ClusterEngine`] **scatters** every query session to all shards
 //!   (one [`ServeEngine`] session on one replica per shard, seeded at
-//!   that shard's entry vertex) and drives all replica engines
-//!   round-by-round on **one shared worker pool** ([`crate::exec`]);
+//!   that shard's entry vertex) and steps every alive replica engine
+//!   once per cluster round, in shard order;
 //! * per-shard top-k lists come back in shard-local ids, are translated
 //!   to global ids through the plan, and are **gathered** by a
 //!   deterministic stable merge — ascending `(distance, global id)`,
@@ -62,14 +62,12 @@
 //!
 //! Replicas share **no** mutable state: each replica engine owns its
 //! deployment, device model and simulated clock, and every per-replica
-//! report is bit-identical at any
-//! [`exec_threads`](crate::config::NdsConfig::exec_threads) (see
-//! [`crate::serve`]). Failure events and hedges fire at round
-//! boundaries, in schedule/submission order, from simulated clocks only
-//! — never from host time. The gather step is a pure sort by
-//! `(distance, global id)`. Hence the cluster report is bit-identical at
-//! any thread count *and* invariant under the order shards are stepped
-//! in ([`ClusterEngine::run_to_completion_ordered`]) — pinned by
+//! report replays bit-identically (see [`crate::serve`]). Failure events
+//! and hedges fire at round boundaries, in schedule/submission order,
+//! from simulated clocks only — never from host time. The gather step is
+//! a pure sort by `(distance, global id)`. Hence the cluster report
+//! replays bit-identically *and* is invariant under the order shards are
+//! stepped in ([`ClusterEngine::run_to_completion_ordered`]) — pinned by
 //! `tests/exec_determinism.rs`, failure schedules included.
 //!
 //! Because replicas of a shard are identical deterministic devices, a
@@ -140,9 +138,8 @@ use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
 use crate::report::LatencySummary;
 use crate::serve::{
-    run_serve_job, QueryId, QueryOutcome, QueryRequest, RoundPrep, ServeConfig, ServeEngine,
-    ServeJob, ServeOut, ServeReport, SessionState, UpdateId, UpdateOp, UpdateOutcome,
-    UpdateRequest, HOP_PARALLEL_MIN,
+    QueryId, QueryOutcome, QueryRequest, ServeConfig, ServeEngine, ServeReport, SessionState,
+    UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
 };
 
 /// Identifier of a cluster query session (dense, submission order).
@@ -435,10 +432,8 @@ pub struct ReplicaBreakdown {
     pub killed_ns: Option<Nanos>,
     /// Beam-search hops this device executed.
     pub hops: usize,
-    /// The replica engine's full device report. Its `wall_s` is zeroed:
-    /// all replicas share one worker pool, so per-device host wall-clock
-    /// is meaningless — the cluster-level measurement lives in
-    /// [`ClusterReport::wall_s`].
+    /// The replica engine's full device report (its `wall_s` is the host
+    /// time this device's rounds took).
     pub report: ServeReport,
 }
 
@@ -483,11 +478,9 @@ pub struct ClusterReport {
     pub shards: Vec<ShardBreakdown>,
     /// Earliest arrival → latest completion across the whole cluster.
     pub makespan_ns: Nanos,
-    /// Host wall-clock seconds spent inside scheduling rounds, measured
-    /// **once across the whole cluster**: every replica engine steps on
-    /// one shared worker pool, so per-shard wall-clock attribution would
-    /// be fiction (the per-replica `wall_s` fields are zeroed). Excluded
-    /// from equality.
+    /// Host wall-clock seconds spent inside `run_to_completion*`,
+    /// measured once across the whole cluster (failure and hedge
+    /// bookkeeping included). Excluded from equality.
     pub wall_s: f64,
 }
 
@@ -786,7 +779,6 @@ struct Scatter {
 
 /// The scatter–gather cluster engine (see the [module docs](self)).
 pub struct ClusterEngine<'a> {
-    config: &'a NdsConfig,
     serve: ServeConfig,
     plan: ShardPlan,
     replication: ReplicationConfig,
@@ -904,7 +896,6 @@ impl<'a> ClusterEngine<'a> {
             .collect();
         let fired = vec![false; replication.failures.events().len()];
         Self {
-            config,
             serve,
             plan,
             replication,
@@ -1123,8 +1114,7 @@ impl<'a> ClusterEngine<'a> {
     }
 
     /// Drives every shard to completion, stepping shards in index order
-    /// each round on one shared worker pool, and returns the gathered
-    /// report.
+    /// each round, and returns the gathered report.
     pub fn run_to_completion(&mut self) -> ClusterReport {
         let order: Vec<usize> = (0..self.shards.len()).collect();
         self.run_to_completion_ordered(&order)
@@ -1148,63 +1138,24 @@ impl<'a> ClusterEngine<'a> {
         assert!(seen.iter().all(|&s| s), "order must cover every shard");
 
         let wall_start = std::time::Instant::now();
-        let config = self.config;
-        crate::exec::with_pool(
-            config.exec_threads,
-            move |job: ServeJob| run_serve_job(job, config),
-            |pool| loop {
-                // Failure events fire at the round boundary, before the
-                // round they degrade (an event at t=0 hits a device that
-                // has served nothing).
-                let mut more = self.fire_due_failures();
-
-                // Phase 1: begin every alive replica's round in step
-                // order, concatenating the per-engine hop batches.
-                let mut pending: Vec<(usize, usize, RoundPrep)> = Vec::new();
-                let mut all_jobs: Vec<ServeJob> = Vec::new();
-                let mut counts: Vec<usize> = Vec::new();
-                for &s in order {
-                    if let Some(shard) = self.shards[s].as_mut() {
-                        for (ri, rep) in shard.replicas.iter_mut().enumerate() {
-                            if !rep.alive {
-                                continue;
-                            }
-                            if let Some(mut prep) = rep.engine.begin_round() {
-                                let jobs = std::mem::take(&mut prep.jobs);
-                                counts.push(jobs.len());
-                                all_jobs.extend(jobs);
-                                pending.push((s, ri, prep));
-                            }
-                        }
-                    }
+        loop {
+            // Failure events fire at the round boundary, before the round
+            // they degrade (an event at t=0 hits a device that has served
+            // nothing).
+            let mut more = self.fire_due_failures();
+            for &s in order {
+                let Some(shard) = self.shards[s].as_mut() else {
+                    continue;
+                };
+                for rep in shard.replicas.iter_mut().filter(|r| r.alive) {
+                    more |= rep.engine.step_round();
                 }
-
-                // Phase 2: every replica's hop stage as ONE pool round.
-                // Hop jobs are pure functions of the round-boundary
-                // snapshots they carry and come back in job order, so
-                // merging batches across engines changes where the work
-                // runs, never what any engine observes.
-                let mut outs = pool.run_with_min(all_jobs, HOP_PARALLEL_MIN).into_iter();
-
-                // Phase 3: finish each round in the same order, handing
-                // every engine its slice of the merged outputs (LUN
-                // stages stay per-engine: their jobs derive from these
-                // hop outputs, so they cannot legally merge with them).
-                for ((s, ri, prep), count) in pending.into_iter().zip(counts) {
-                    let engine_outs: Vec<ServeOut> = outs.by_ref().take(count).collect();
-                    let shard = self.shards[s].as_mut().expect("round began on this shard");
-                    more |=
-                        shard.replicas[ri]
-                            .engine
-                            .finish_round(prep, engine_outs, Some(&mut *pool));
-                }
-
-                more |= self.fire_hedges();
-                if !more {
-                    break;
-                }
-            },
-        );
+            }
+            more |= self.fire_hedges();
+            if !more {
+                break;
+            }
+        }
         self.wall += wall_start.elapsed();
         self.report()
     }
@@ -1536,19 +1487,8 @@ impl<'a> ClusterEngine<'a> {
             .shards
             .iter()
             .map(|slot| {
-                slot.as_ref().map(|shard| {
-                    shard
-                        .replicas
-                        .iter()
-                        .map(|r| {
-                            let mut rep = r.engine.report();
-                            // Shared pool: per-device wall-clock is
-                            // fiction (see `ClusterReport::wall_s`).
-                            rep.wall_s = 0.0;
-                            rep
-                        })
-                        .collect()
-                })
+                slot.as_ref()
+                    .map(|shard| shard.replicas.iter().map(|r| r.engine.report()).collect())
             })
             .collect();
         self.resolve_updates(&reports);
@@ -1784,7 +1724,49 @@ mod tests {
         assert!(report.sim_ns_per_wall_s() > 0.0);
         for s in &report.shards {
             assert_eq!(s.replicas.len(), 1);
-            assert_eq!(s.replicas[0].report.wall_s, 0.0, "per-replica wall zeroed");
+            // Each device measures its own rounds, inside the cluster's run.
+            let replica_wall = s.replicas[0].report.wall_s;
+            assert!(replica_wall > 0.0 && replica_wall <= report.wall_s);
+        }
+    }
+
+    #[test]
+    fn malformed_queries_are_rejected_without_disturbing_valid_traffic() {
+        let (config, base, queries) = fixture(400, 8);
+        let run = |malformed: bool| {
+            let plan = ShardPlan::partition(base.len(), 4, ShardPolicy::Hash, 11);
+            let mut cluster =
+                ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+            let mut valid = Vec::new();
+            for (i, (_, q)) in queries.iter().enumerate() {
+                let at = i as Nanos * 500;
+                valid.push(cluster.submit(ClusterQueryRequest::at(at, q.to_vec())));
+                if malformed {
+                    let short = q[1..].to_vec();
+                    let nan = vec![f32::NAN; q.len()];
+                    cluster.submit(ClusterQueryRequest::at(at + 100, short));
+                    cluster.submit(ClusterQueryRequest::at(at + 200, nan));
+                    cluster.submit(ClusterQueryRequest::at(at + 300, q.to_vec()).top_k(0));
+                }
+            }
+            let report = cluster.run_to_completion();
+            (valid, report)
+        };
+        let (valid_ids, want) = run(false);
+        let (mixed_ids, got) = run(true);
+        assert_eq!(got.rejected(), 3 * queries.len());
+        assert_eq!(got.completed(), queries.len());
+        for (&w, &g) in valid_ids.iter().zip(&mixed_ids) {
+            let mut outcome = got.outcomes[g].clone();
+            outcome.id = w;
+            assert_eq!(outcome, want.outcomes[w], "valid query {w} changed");
+        }
+        for o in got
+            .outcomes
+            .iter()
+            .filter(|o| o.state == SessionState::Rejected)
+        {
+            assert!(o.results.is_empty() && o.hops == 0);
         }
     }
 

@@ -135,12 +135,6 @@ pub struct NdsConfig {
     /// at deployment staging (same parsing rule as `NDSEARCH_NO_SIMD`;
     /// see `ndsearch_vector::env`).
     pub quantization: QuantSpec,
-    /// Host worker threads the round executor ([`crate::exec`]) fans
-    /// per-LUN work units over. Reports are bit-identical at any value;
-    /// `1` runs the exact legacy inline loop. Defaults to the host's
-    /// available parallelism (overridable via the `NDSEARCH_EXEC_THREADS`
-    /// environment variable).
-    pub exec_threads: usize,
     /// Seed for placement/refresh/ECC determinism.
     pub seed: u64,
 }
@@ -164,7 +158,6 @@ impl Default for NdsConfig {
             refresh_read_threshold: 0,
             spec_budget_factor: 1.0,
             quantization: QuantSpec::None,
-            exec_threads: crate::exec::default_threads(),
             seed: 0x6D5,
         }
     }

@@ -20,14 +20,10 @@
 //!   ([`ndsearch_flash::wear::WearModel`]); compaction erases the old
 //!   blocks and rewrites a fresh base.
 //!
-//! The dataset/graph/prepared views are held in [`Arc`]s: each scheduling
-//! round of the serving engine snapshots them into its worker jobs, so
-//! updates applied between rounds never race a search — and because the
-//! snapshots are taken at deterministic round boundaries, mixed
-//! query+update serving stays bit-identical at any
-//! [`crate::config::NdsConfig::exec_threads`].
-
-use std::sync::Arc;
+//! The serving engine mutates a deployment only between scheduling
+//! rounds, on the thread that runs them, so a round's searches always
+//! read one consistent state and mixed query+update serving replays
+//! bit-identically.
 
 use ndsearch_anns::index::MutableIndex;
 use ndsearch_anns::trace::BatchTrace;
@@ -156,18 +152,18 @@ pub struct Deployment {
     /// The live index; `None` for query-only deployments staged from
     /// borrowed parts (updates are rejected).
     index: Option<Box<dyn MutableIndex>>,
-    dataset: Arc<Dataset>,
-    graph: Arc<Csr>,
+    dataset: Dataset,
+    graph: Csr,
     /// Whether `graph` lags the index (inserts mark it dirty; the
     /// snapshot is refreshed once per round, not once per update).
     graph_dirty: bool,
-    prepared: Arc<Prepared>,
+    prepared: Prepared,
     /// DRAM-resident compressed codes for traversal, trained once at
     /// staging from [`NdsConfig::quantization`] (`None` when
     /// quantization is off or the `NDSEARCH_NO_QUANT` override is set).
     /// Inserts encode through the same trained quantizer; compaction
     /// re-packs the table.
-    codes: Option<Arc<QuantCodes>>,
+    codes: Option<QuantCodes>,
     ftl: Ftl,
     wear: WearModel,
     totals: UpdateTotals,
@@ -192,11 +188,11 @@ impl std::fmt::Debug for Deployment {
 /// the `NDSEARCH_NO_QUANT` environment flag (same parsing rule as
 /// `NDSEARCH_NO_SIMD`; see `ndsearch_vector::env`) forces compressed
 /// search off for an A/B run.
-fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<Arc<QuantCodes>> {
+fn train_codes(config: &NdsConfig, dataset: &Dataset) -> Option<QuantCodes> {
     if ndsearch_vector::env::env_flag("NDSEARCH_NO_QUANT") {
         return None;
     }
-    QuantCodes::train(config.quantization, dataset, config.seed ^ 0xC0DE).map(Arc::new)
+    QuantCodes::train(config.quantization, dataset, config.seed ^ 0xC0DE)
 }
 
 impl Deployment {
@@ -209,7 +205,7 @@ impl Deployment {
     pub fn stage(config: &NdsConfig, index: Box<dyn MutableIndex>, dataset: Dataset) -> Self {
         let prepared =
             Prepared::stage(config, index.base_graph(), &dataset, &BatchTrace::default());
-        let graph = Arc::new(index.base_graph().clone());
+        let graph = index.base_graph().clone();
         let open_slots =
             (prepared.luncsr.num_vertices() as u32) % prepared.luncsr.mapping().slots_per_page();
         let codes = train_codes(config, &dataset);
@@ -217,8 +213,8 @@ impl Deployment {
             index: Some(index),
             graph,
             graph_dirty: false,
-            prepared: Arc::new(prepared),
-            dataset: Arc::new(dataset),
+            prepared,
+            dataset,
             codes,
             ftl: Ftl::new(config.geometry, config.seed ^ 0x5EED),
             wear: WearModel::new(config.geometry),
@@ -240,10 +236,10 @@ impl Deployment {
         let codes = train_codes(config, &dataset);
         Self {
             index: None,
-            graph: Arc::new(graph),
+            graph,
             graph_dirty: false,
-            prepared: Arc::new(prepared),
-            dataset: Arc::new(dataset),
+            prepared,
+            dataset,
             codes,
             ftl: Ftl::new(config.geometry, config.seed ^ 0x5EED),
             wear: WearModel::new(config.geometry),
@@ -257,8 +253,8 @@ impl Deployment {
         self.index.is_some()
     }
 
-    /// The construction-order dataset snapshot.
-    pub fn dataset(&self) -> &Arc<Dataset> {
+    /// The construction-order dataset.
+    pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
 
@@ -266,7 +262,7 @@ impl Deployment {
     /// the updates applied since the last
     /// [`refresh_graph`](Self::refresh_graph) — the serving engine
     /// refreshes once per round boundary.
-    pub fn graph(&self) -> &Arc<Csr> {
+    pub fn graph(&self) -> &Csr {
         &self.graph
     }
 
@@ -277,14 +273,14 @@ impl Deployment {
         if self.graph_dirty {
             if let Some(index) = self.index.as_mut() {
                 index.sync_base_graph();
-                self.graph = Arc::new(index.base_graph().clone());
+                self.graph = index.base_graph().clone();
             }
             self.graph_dirty = false;
         }
     }
 
-    /// The staged physical overlay snapshot.
-    pub fn prepared(&self) -> &Arc<Prepared> {
+    /// The staged physical overlay.
+    pub fn prepared(&self) -> &Prepared {
         &self.prepared
     }
 
@@ -292,7 +288,7 @@ impl Deployment {
     /// [`NdsConfig::quantization`] staged one. Kept in lock-step with
     /// the dataset: inserts append through the same trained quantizer
     /// and compaction re-packs it.
-    pub fn codes(&self) -> Option<&Arc<QuantCodes>> {
+    pub fn codes(&self) -> Option<&QuantCodes> {
         self.codes.as_ref()
     }
 
@@ -360,11 +356,11 @@ impl Deployment {
                 return Err(InsertError::DeviceFull);
             }
         }
-        let id = Arc::make_mut(&mut self.dataset).try_push(vector)?;
+        let id = self.dataset.try_push(vector)?;
         if let Some(codes) = self.codes.as_mut() {
             // Same trained quantizer as staging: the new row's code is
             // identical to what a fresh repack would produce.
-            Arc::make_mut(codes).push(self.dataset.vector(id));
+            codes.push(self.dataset.vector(id));
         }
         let index = self.index.as_mut().expect("checked above");
         let report = index.insert(&self.dataset, id);
@@ -373,7 +369,7 @@ impl Deployment {
         // ---- Extend the staged overlay in lock-step, reading the live
         // adjacency lists (the CSR snapshot lags until the next round
         // boundary — no O(V+E) rebuild per update). ----
-        let prepared = Arc::make_mut(&mut self.prepared);
+        let prepared = &mut self.prepared;
         let adj_phys: Vec<VectorId> = index
             .live_neighbors(id)
             .iter()
@@ -443,7 +439,7 @@ impl Deployment {
         if (id as usize) >= bound || !index.delete(id) {
             return None;
         }
-        let prepared = Arc::make_mut(&mut self.prepared);
+        let prepared = &mut self.prepared;
         prepared.luncsr.tombstone(prepared.perm.new_of(id));
         self.totals.deletes += 1;
         Some(AppliedUpdate {
@@ -491,15 +487,13 @@ impl Deployment {
 
         // Re-stage from the live construction graph (same id space; the
         // search graph is unchanged, so results are too).
-        let restaged = Prepared::stage(config, &self.graph, &self.dataset, &BatchTrace::default());
-        let tombstoned: Vec<VectorId> = (0..self.graph.num_vertices() as u32)
-            .filter(|&v| self.is_deleted(v))
-            .collect();
-        self.prepared = Arc::new(restaged);
-        let prepared = Arc::make_mut(&mut self.prepared);
-        for v in tombstoned {
-            prepared.luncsr.tombstone(prepared.perm.new_of(v));
+        let mut restaged =
+            Prepared::stage(config, &self.graph, &self.dataset, &BatchTrace::default());
+        for v in (0..self.graph.num_vertices() as u32).filter(|&v| self.is_deleted(v)) {
+            restaged.luncsr.tombstone(restaged.perm.new_of(v));
         }
+        self.prepared = restaged;
+        let prepared = &self.prepared;
 
         // Program the fresh base: every page rewritten. Wear for the
         // rewrite was already charged with the erases above (erase +
@@ -520,8 +514,7 @@ impl Deployment {
             // Compaction rewrote the physical layout; re-pack the code
             // table over the (unchanged) construction-order rows —
             // bit-identical codes, fresh contiguous storage.
-            let repacked = codes.repack(&self.dataset);
-            *Arc::make_mut(codes) = repacked;
+            *codes = codes.repack(&self.dataset);
         }
 
         self.totals.blocks_erased += occupied.len() as u64;

@@ -23,7 +23,6 @@
 //!    back to the host.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use ndsearch_anns::bitonic::BitonicStats;
 use ndsearch_anns::trace::QueryTrace;
@@ -35,40 +34,16 @@ use ndsearch_vector::VectorId;
 
 use crate::alloc::{Allocator, LunWork};
 use crate::config::NdsConfig;
-use crate::exec::Pool;
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, NdsReport};
-use crate::sin::{process_lun_work, LunJob, LunOutcome};
+use crate::sin::{process_lun_work, LunOutcome};
 use crate::speculative::{select_prefetch, SpeculationStats};
 use crate::vgen::Vgenerator;
 
-/// The batch engine's pool type: per-LUN jobs in, outcome deltas out.
-pub(crate) type LunPool<'f> = Pool<'f, LunJob, LunOutcome>;
-
-/// Abstraction over a worker pool that can evaluate a round's per-LUN
-/// work units. The batch engine's [`LunPool`] implements it directly;
-/// the serving engine's pool (whose job type also carries beam-search
-/// hops) implements it by wrapping the jobs.
-pub(crate) trait LunExecutor {
-    /// Whether `units` work units would actually fan out over workers.
-    fn parallel_for(&self, units: usize) -> bool;
-    /// Evaluates the jobs, returning outcomes **in job order**.
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome>;
-}
-
-impl LunExecutor for LunPool<'_> {
-    fn parallel_for(&self, units: usize) -> bool {
-        self.is_parallel() && units >= crate::exec::PARALLEL_THRESHOLD
-    }
-
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome> {
-        self.run(jobs)
-    }
-}
-
 /// The engine-wide mutable accumulators one round commits into — per-LUN
-/// outcome deltas merge into these, in stable LUN order, after the fan-out.
+/// outcome deltas merge into these, in stable LUN order, once every unit
+/// of the round has been evaluated.
 pub(crate) struct RoundSinks<'a> {
     /// Engine-wide ECC state (failure-stream cursors advance per round).
     pub ecc: &'a mut EccEngine,
@@ -78,39 +53,17 @@ pub(crate) struct RoundSinks<'a> {
     pub luns_touched: &'a mut HashSet<u32>,
 }
 
-/// Evaluates a round's per-LUN work units — on the worker pool when one
-/// is attached and the round is large enough to amortize the hand-off,
-/// inline otherwise — returning outcomes in stable LUN order.
-///
-/// Invariant: a parallel pool's job function must close over the *same*
-/// `luncsr`/`config` passed here (both engines build their pool over
-/// `Prepared::luncsr`; the refresh path, which mutates a private LUNCSR
-/// copy, always runs with an inline pool). The ECC snapshot travels in
-/// the jobs, so it is consistent either way.
+/// Evaluates a round's per-LUN work units against the round-start ECC
+/// state, returning outcomes in stable LUN order.
 fn run_lun_units(
     config: &NdsConfig,
     luncsr: &LunCsr,
     ecc: &EccEngine,
-    work: Vec<LunWork>,
-    pool: Option<&mut dyn LunExecutor>,
+    work: &[LunWork],
 ) -> Vec<LunOutcome> {
-    match pool {
-        Some(pool) if pool.parallel_for(work.len()) => {
-            let snapshot = Arc::new(ecc.clone());
-            let jobs: Vec<LunJob> = work
-                .into_iter()
-                .map(|work| LunJob {
-                    work,
-                    ecc: Arc::clone(&snapshot),
-                })
-                .collect();
-            pool.run_luns(jobs)
-        }
-        _ => work
-            .iter()
-            .map(|w| process_lun_work(w, luncsr, config, ecc))
-            .collect(),
-    }
+    work.iter()
+        .map(|w| process_lun_work(w, luncsr, config, ecc))
+        .collect()
 }
 
 /// Latency contributions of one Allocating → Searching → Gathering round.
@@ -181,18 +134,15 @@ impl RoundOutcome {
 ///
 /// This is the hot path shared by the run-to-completion batch engine
 /// ([`NdsEngine`]) and the interleaved multi-query scheduler
-/// ([`crate::serve::ServeEngine`]). The Searching stage fans the per-LUN
-/// work units over the persistent worker pool ([`crate::exec`]) — each
-/// unit is a pure function of the round's snapshots — then folds the
-/// outcomes back in stable LUN order, so the round is bit-identical at
-/// any [`NdsConfig::exec_threads`] (`pool = None` is the inline path).
+/// ([`crate::serve::ServeEngine`]). The Searching stage evaluates every
+/// per-LUN work unit — a pure function of the round-start state — then
+/// folds the outcomes back in stable LUN order.
 pub(crate) fn execute_round(
     config: &NdsConfig,
     luncsr: &LunCsr,
     qpt: &QueryPropertyTable,
     entries: &[(u32, VectorId, &[VectorId])],
     sinks: RoundSinks<'_>,
-    pool: Option<&mut dyn LunExecutor>,
 ) -> RoundOutcome {
     let timing = &config.timing;
 
@@ -201,13 +151,12 @@ pub(crate) fn execute_round(
     let alloc_out = Allocator.dispatch(luncsr, timing, &vgen_out.triples, false);
     let allocating_ns = vgen_out.latency_ns + alloc_out.latency_ns;
 
-    // ---- Searching stage: all LUN accelerators in parallel — on worker
-    // threads too, since each work unit only reads this round's immutable
-    // snapshots. ----
-    let outcomes = run_lun_units(config, luncsr, sinks.ecc, alloc_out.work, pool);
+    // ---- Searching stage: all LUN accelerators in parallel on the
+    // simulated clock; each work unit reads only the round-start state. ----
+    let outcomes = run_lun_units(config, luncsr, sinks.ecc, &alloc_out.work);
 
     // ---- Merge in stable LUN order (determinism: every reduction sees
-    // the same operand sequence at any thread count). ----
+    // the same operand sequence on every run). ----
     let channels = config.geometry.channels as usize;
     let mut channel_out: Vec<Nanos> = vec![0; channels];
     let mut max_busy: Nanos = 0;
@@ -308,24 +257,7 @@ impl<'a> NdsEngine<'a> {
     /// Simulates a full batch (splitting into sub-batches when it exceeds
     /// the resource cap, §VII-B "Batch size") and returns the merged
     /// report.
-    ///
-    /// The run spawns the round executor's worker pool once
-    /// ([`crate::exec::with_pool`], [`NdsConfig::exec_threads`] threads)
-    /// and drives every round through it; online refresh mutates a
-    /// private LUNCSR copy mid-run, so refresh-enabled runs use the
-    /// inline executor (results are identical either way).
     pub fn run(&self, prepared: &Prepared) -> NdsReport {
-        let config = self.config;
-        let refresh_on = config.refresh_read_threshold > 0;
-        let threads = if refresh_on { 1 } else { config.exec_threads };
-        crate::exec::with_pool(
-            threads,
-            |job: LunJob| process_lun_work(&job.work, &prepared.luncsr, config, &job.ecc),
-            |pool| self.run_with_pool(prepared, pool),
-        )
-    }
-
-    fn run_with_pool(&self, prepared: &Prepared, pool: &mut LunPool<'_>) -> NdsReport {
         // A zero cap means "no batching resources": clamp once, here, to
         // the smallest legal sub-batch.
         let cap = self.config.max_batch_inflight.max(1);
@@ -338,7 +270,7 @@ impl<'a> NdsEngine<'a> {
         let mut sub_batches = 0;
         for chunk in queries.chunks(cap) {
             sub_batches += 1;
-            let sub = self.run_sub(prepared, chunk, &mut luns_touched, pool);
+            let sub = self.run_sub(prepared, chunk, &mut luns_touched);
             merged.total_ns += sub.total_ns;
             merged.trace_len += sub.trace_len;
             merged.breakdown.merge(&sub.breakdown);
@@ -362,7 +294,6 @@ impl<'a> NdsEngine<'a> {
         prepared: &Prepared,
         traces: &[QueryTrace],
         luns_touched: &mut HashSet<u32>,
-        pool: &mut LunPool<'_>,
     ) -> NdsReport {
         let config = self.config;
         // Online block-level refresh needs a mutable LUNCSR (the FTL
@@ -401,15 +332,6 @@ impl<'a> NdsEngine<'a> {
         let mut refreshes = 0u64;
         for r in 0..max_iters {
             let luncsr = luncsr_owned.as_ref().unwrap_or(&prepared.luncsr);
-            // The pool's job closure is bound to `prepared.luncsr`; when
-            // refresh runs against the privately mutated copy the rounds
-            // must stay inline (enforced structurally here, not just by
-            // `run` clamping the thread count).
-            let round_pool: Option<&mut dyn LunExecutor> = if luncsr_owned.is_some() {
-                None
-            } else {
-                Some(&mut *pool)
-            };
             // ---- Collect this round's work from the traces. ----
             let mut filtered: Vec<(u32, VectorId, Vec<VectorId>)> = Vec::new();
             for (qi, t) in traces.iter().enumerate() {
@@ -472,21 +394,15 @@ impl<'a> NdsEngine<'a> {
                     stats: &mut stats,
                     luns_touched,
                 },
-                round_pool,
             );
 
             // Speculative work executes off the critical path but consumes
-            // pages and MACs (visible in the statistics). It fans over the
-            // same pool; its deltas commit after the main round's, so the
-            // per-plane ECC streams stay in program order.
+            // pages and MACs (visible in the statistics). Its deltas commit
+            // after the main round's, so the per-plane ECC streams stay in
+            // program order.
             if !spec_triples.is_empty() {
                 let spec_alloc = Allocator.dispatch(luncsr, timing, &spec_triples, true);
-                let spec_pool: Option<&mut dyn LunExecutor> = if luncsr_owned.is_some() {
-                    None
-                } else {
-                    Some(&mut *pool)
-                };
-                let spec_outcomes = run_lun_units(config, luncsr, &ecc, spec_alloc.work, spec_pool);
+                let spec_outcomes = run_lun_units(config, luncsr, &ecc, &spec_alloc.work);
                 for out in spec_outcomes {
                     luns_touched.insert(out.lun);
                     ecc.apply(&out.ecc);
@@ -678,26 +594,21 @@ mod tests {
 
     #[test]
     fn reports_bit_identical_across_thread_counts() {
+        // Two independent runs (separate staging, separate engines) of the
+        // same config must agree bit-for-bit.
         let (base, graph, trace) = fixture();
-        let run_threads = |threads: usize| {
+        let run = || {
             let mut config = NdsConfig::scaled_for(base.len(), base.stored_vector_bytes());
             config.scheduling = SchedulingConfig::full();
-            config.exec_threads = threads;
             // Keep fault injection on: the counter-indexed ECC streams are
-            // exactly what must not depend on the schedule.
+            // exactly the state that must replay identically.
             config.ecc.hard_decision_failure_prob = 0.05;
             let prepared = Prepared::stage(&config, &graph, &base, &trace);
             NdsEngine::new(&config).run(&prepared)
         };
-        let sequential = run_threads(1);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                sequential,
-                run_threads(threads),
-                "report diverged at exec_threads = {threads}"
-            );
-        }
-        assert!(sequential.stats.ecc_soft_fallbacks > 0);
+        let first = run();
+        assert_eq!(first, run(), "report diverged between independent runs");
+        assert!(first.stats.ecc_soft_fallbacks > 0);
     }
 
     #[test]

@@ -19,10 +19,8 @@
 //! * [`engine::NdsEngine`] — the NDP processing model of Algorithm 1
 //!   (Allocating → Searching → Gathering → Sorting with stage overlap),
 //!   including the speculative searching of §VI-B2 ([`speculative`]);
-//! * [`exec`] — the deterministic data-parallel round executor: pure
-//!   per-LUN work units fanned over scoped worker threads
-//!   ([`config::NdsConfig::exec_threads`]) and merged in stable LUN
-//!   order, bit-identical at any thread count;
+//! * [`exec`] — the host execution model: every round runs on the
+//!   calling thread, and per-LUN outcomes merge in stable LUN order;
 //! * [`energy`] / [`area`] — the Table I power/area models and the
 //!   storage-density arithmetic of §VII-B;
 //! * [`pipeline`] — the end-to-end static-scheduling pipeline: reorder →

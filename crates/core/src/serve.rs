@@ -33,21 +33,19 @@
 //!   order between search rounds, capped per round
 //!   ([`ServeConfig::max_updates_per_round`]). Inserts link through the
 //!   index's construction kernel, extend the LUNCSR delta segment and
-//!   charge the flash program path; each round's jobs read round-boundary
-//!   `Arc` snapshots, so mixed query+update serving stays bit-identical
-//!   at any [`NdsConfig::exec_threads`];
+//!   charge the flash program path. Updates mutate the deployment only
+//!   after a round's searches, so mixed query+update serving replays
+//!   bit-identically;
 //! * [`ServeReport`] — QPS over the makespan, per-query latency order
 //!   statistics ([`LatencySummary`]), wall-clock simulation
 //!   throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]), and the
 //!   update stream's outcomes, throughput
 //!   ([`ServeReport::update_qps`]) and write amplification.
 //!
-//! Each scheduling round drives the merged work through the same
-//! data-parallel round executor as the batch engine ([`crate::exec`]):
-//! per-LUN work units run on [`NdsConfig::exec_threads`] worker threads
-//! and merge in stable LUN order, so multi-query serving throughput
-//! scales with host cores while every report stays bit-identical to the
-//! `exec_threads = 1` legacy path.
+//! Each scheduling round runs inline on the calling thread: the hops in
+//! admission order, then the merged per-LUN work through the batch
+//! engine's round executor, folded in stable LUN order — so every report
+//! replays bit-identically.
 //!
 //! Because every hop is produced by the same expansion kernel as
 //! [`beam_search`](ndsearch_anns::beam::beam_search), a query served
@@ -88,7 +86,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use ndsearch_anns::beam::BeamSearcher;
 use ndsearch_anns::trace::IterationTrace;
@@ -97,168 +94,15 @@ use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::csr::Csr;
 use ndsearch_vector::dataset::Dataset;
-use ndsearch_vector::quant::QuantCodes;
 use ndsearch_vector::topk::Neighbor;
 use ndsearch_vector::{DistanceKind, VectorId};
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::engine::{execute_round, sorting_tail, LunExecutor, RoundSinks};
-use crate::exec::Pool;
+use crate::engine::{execute_round, sorting_tail, RoundSinks};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
 use crate::report::{LatencyBreakdown, LatencySummary};
-use crate::sin::{process_lun_work, LunJob, LunOutcome};
-
-/// Minimum in-flight hops before the hop stage fans out over workers
-/// (hop jobs — one beam expansion plus relabeling — are much heavier
-/// than per-LUN units, so they amortize the hand-off sooner).
-pub(crate) const HOP_PARALLEL_MIN: usize = 8;
-
-/// Job type of the serving pool: one scheduling round first advances
-/// every in-flight session's beam search (`Hop` jobs — independent per
-/// session, the searcher travels to the worker and back), then evaluates
-/// the merged round's per-LUN work units (`Lun` jobs, via
-/// [`LunExecutor`]). Both stages merge in job order, so serving is
-/// bit-identical at any thread count.
-///
-/// Each job carries `Arc` snapshots of the world it reads (dataset, live
-/// graph, staged overlay), taken at its round's boundary: online updates
-/// mutate the deployment *between* rounds on the scheduler thread, so a
-/// job never observes a torn state and never needs a lock.
-pub(crate) enum ServeJob {
-    /// Advance one session's beam searcher by one hop.
-    Hop {
-        /// Slot in the in-flight list (admission order).
-        slot: u32,
-        /// The session's live searcher (returned in the result).
-        searcher: BeamSearcher,
-        /// Construction-order dataset snapshot.
-        dataset: Arc<Dataset>,
-        /// Live graph snapshot.
-        graph: Arc<Csr>,
-        /// Staged overlay snapshot (relabeling).
-        prepared: Arc<Prepared>,
-        /// Compressed-code snapshot; when present the hop scores
-        /// DRAM-resident codes instead of full-precision rows.
-        codes: Option<Arc<QuantCodes>>,
-    },
-    /// One per-LUN work unit of the merged round.
-    Lun {
-        /// The work unit.
-        job: LunJob,
-        /// Staged overlay snapshot the unit reads addresses from.
-        prepared: Arc<Prepared>,
-    },
-}
-
-/// Result of one [`ServeJob`].
-pub(crate) enum ServeOut {
-    /// A hop step's outcome.
-    Hop {
-        slot: u32,
-        searcher: BeamSearcher,
-        /// The executed hop, relabeled into the physical id space
-        /// (`None` when the candidate list was exhausted).
-        hop: Option<IterationTrace>,
-        /// Whether the session terminated this round.
-        finished: bool,
-    },
-    /// A per-LUN outcome delta.
-    Lun(LunOutcome),
-}
-
-/// The serving pool: hop and LUN jobs in, outcomes out. The cluster tier
-/// ([`crate::cluster`]) shares one pool across every shard's engine.
-pub(crate) type ServePool<'f> = Pool<'f, ServeJob, ServeOut>;
-
-/// The prepared first half of one engine's scheduling round: the hop jobs
-/// (one per in-flight session, slot order) plus the round-boundary
-/// snapshots `finish_round` needs. Produced by `ServeEngine::begin_round`;
-/// the cluster tier takes the jobs, merges them across replicas into one
-/// pool round, and hands each engine its slice of the outputs back.
-pub(crate) struct RoundPrep {
-    /// Hop jobs in admission (slot) order; taken by the dispatcher.
-    pub(crate) jobs: Vec<ServeJob>,
-    /// PCIe transfer-in time charged by this round's admissions.
-    t_in: Nanos,
-    /// Round-boundary dataset snapshot.
-    dataset: Arc<Dataset>,
-    /// Round-boundary live-graph snapshot.
-    graph: Arc<Csr>,
-    /// Round-boundary staged-overlay snapshot.
-    prepared: Arc<Prepared>,
-    /// Round-boundary compressed-code snapshot (when quantization is on).
-    codes: Option<Arc<QuantCodes>>,
-}
-
-/// Evaluates one serving job (worker threads and the inline path share
-/// this function, so both produce identical results). All world state
-/// arrives inside the job as round-boundary snapshots.
-pub(crate) fn run_serve_job(job: ServeJob, config: &NdsConfig) -> ServeOut {
-    match job {
-        ServeJob::Hop {
-            slot,
-            mut searcher,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        } => {
-            let hop = match codes.as_deref() {
-                Some(codes) => searcher.step(codes, &graph),
-                None => searcher.step(dataset.as_ref(), &graph),
-            }
-            .map(|h| prepared.relabel_hop(&h));
-            let finished = hop.is_none() || searcher.is_finished();
-            ServeOut::Hop {
-                slot,
-                searcher,
-                hop,
-                finished,
-            }
-        }
-        ServeJob::Lun { job, prepared } => ServeOut::Lun(process_lun_work(
-            &job.work,
-            &prepared.luncsr,
-            config,
-            &job.ecc,
-        )),
-    }
-}
-
-/// One round's view of the pool: wraps the worker pool together with the
-/// round's overlay snapshot, so per-LUN work units fanned out by
-/// [`execute_round`] read the same `Prepared` the round's hops did.
-struct RoundExecutor<'p, 'f> {
-    pool: &'p mut ServePool<'f>,
-    prepared: Arc<Prepared>,
-}
-
-impl LunExecutor for RoundExecutor<'_, '_> {
-    fn parallel_for(&self, units: usize) -> bool {
-        self.pool.is_parallel() && units >= crate::exec::PARALLEL_THRESHOLD
-    }
-
-    fn run_luns(&mut self, jobs: Vec<LunJob>) -> Vec<LunOutcome> {
-        let prepared = &self.prepared;
-        self.pool
-            .run(
-                jobs.into_iter()
-                    .map(|job| ServeJob::Lun {
-                        job,
-                        prepared: Arc::clone(prepared),
-                    })
-                    .collect(),
-            )
-            .into_iter()
-            .map(|out| match out {
-                ServeOut::Lun(out) => out,
-                ServeOut::Hop { .. } => unreachable!("a LUN batch returned a hop"),
-            })
-            .collect()
-    }
-}
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -320,8 +164,8 @@ impl Default for ServeConfig {
 /// Deadline-aware scheduling policy of the serving layer.
 ///
 /// All decisions run on the simulated clock and on counters derived from
-/// the simulation alone, so every policy keeps reports bit-identical at
-/// any [`NdsConfig::exec_threads`].
+/// the simulation alone, so every policy keeps reports bit-identical
+/// from run to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SloPolicy {
     /// Pure FIFO admission (the legacy behavior): nothing is shed, no
@@ -506,7 +350,8 @@ pub enum SessionState {
     Running,
     /// Finished; final top-k available.
     Completed,
-    /// Dropped at arrival because the admission queue was full.
+    /// Dropped at arrival because the admission queue was full or the
+    /// request was malformed (see [`ServeEngine::submit`]).
     Rejected,
     /// Terminated at its deadline with partial (best-so-far) results.
     Expired,
@@ -598,7 +443,6 @@ pub struct ServeReport {
     pub lun_coverage: f64,
     /// Host wall-clock seconds spent inside scheduling rounds — how long
     /// the *simulator* took, as opposed to the simulated `makespan_ns`.
-    /// Scales down with [`crate::config::NdsConfig::exec_threads`].
     pub wall_s: f64,
 }
 
@@ -990,9 +834,22 @@ impl<'a> ServeEngine<'a> {
 
     /// Registers a query session and returns its id. Arrival times in the
     /// past are clamped to the current simulated time.
+    ///
+    /// A malformed request — a query whose dimension differs from the
+    /// dataset's or that holds a non-finite value, no entry vertex, an
+    /// entry id outside the dataset, or a top-k of zero — is `Rejected`
+    /// at its arrival time without ever being searched, like an arrival
+    /// that finds the queue full; it does not count toward the makespan.
     pub fn submit(&mut self, req: QueryRequest) -> QueryId {
         let id = self.sessions.len();
         let arrival = req.arrival_ns.max(self.now_ns);
+        let k = req.k.unwrap_or(self.serve.k);
+        let dataset = self.deploy.dataset();
+        let malformed = req.query.len() != dataset.dim()
+            || req.query.iter().any(|x| !x.is_finite())
+            || req.entries.is_empty()
+            || req.entries.iter().any(|&e| e as usize >= dataset.len())
+            || k == 0;
         self.sessions.push(Session {
             arrival_ns: arrival,
             deadline_ns: req.deadline_ns,
@@ -1006,11 +863,18 @@ impl<'a> ServeEngine<'a> {
             rounds_inflight: 0,
             results: Vec::new(),
             tenant: req.tenant,
-            k: req.k.unwrap_or(self.serve.k),
+            k,
             shed: false,
         });
-        self.arrivals.push(Reverse((arrival, id)));
-        self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
+        if malformed {
+            let s = &mut self.sessions[id];
+            s.state = SessionState::Rejected;
+            s.admitted_ns = arrival;
+            s.completed_ns = arrival;
+        } else {
+            self.arrivals.push(Reverse((arrival, id)));
+            self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
+        }
         id
     }
 
@@ -1076,10 +940,9 @@ impl<'a> ServeEngine<'a> {
     /// Degradation trigger: changes the device's injected ECC
     /// hard-decision failure probability mid-run (an *ECC storm* — every
     /// failed hard decode falls back to a ~10 µs soft decode on the FTL,
-    /// slowing each subsequent round). Deterministic at any
-    /// `exec_threads`: fault injection stays counter-indexed per plane,
-    /// so the decisions drawn after the ramp depend only on the decode
-    /// counters, never on worker scheduling.
+    /// slowing each subsequent round). Deterministic: fault injection
+    /// stays counter-indexed per plane, so the decisions drawn after the
+    /// ramp depend only on the decode counters.
     pub fn inject_ecc_failure_prob(&mut self, p: f64) {
         self.ecc.set_hard_decision_failure_prob(p);
     }
@@ -1243,9 +1106,12 @@ impl<'a> ServeEngine<'a> {
     /// Simulated duration of one quantized scheduling round: the hops'
     /// distance evaluations read codes from internal DRAM and run on the
     /// embedded cores/accelerator — no NAND access. Derived from the
-    /// hop traces alone (slot order), so it is bit-identical at any
-    /// `exec_threads`.
-    fn quantized_round_ns(&mut self, codes: &QuantCodes, hops: &[(u32, IterationTrace)]) -> Nanos {
+    /// hop traces alone, in slot order.
+    fn quantized_round_ns(&mut self, hops: &[(u32, IterationTrace)]) -> Nanos {
+        let codes = self
+            .deploy
+            .codes()
+            .expect("a quantized round has a code table");
         let timing = &self.config.timing;
         let active = hops.len();
         let new_distances: u64 = hops.iter().map(|(_, it)| it.visited.len() as u64).sum();
@@ -1272,15 +1138,16 @@ impl<'a> ServeEngine<'a> {
     /// against the full-precision dataset, charging one NAND page read
     /// per distinct page the candidates occupy plus the channel
     /// transfer of their rows.
-    fn rerank_tail_ns(&mut self, id: QueryId, dataset: &Dataset, prepared: &Prepared) -> Nanos {
+    fn rerank_tail_ns(&mut self, id: QueryId) -> Nanos {
         let depth = self.serve.rerank_depth.max(self.sessions[id].k);
         let Some(searcher) = self.sessions[id].searcher.as_mut() else {
             return 0;
         };
-        let ids = searcher.rerank(dataset, depth);
+        let ids = searcher.rerank(self.deploy.dataset(), depth);
         if ids.is_empty() {
             return 0;
         }
+        let prepared = self.deploy.prepared();
         let pages: std::collections::BTreeSet<u64> = ids
             .iter()
             .map(|&v| {
@@ -1314,50 +1181,17 @@ impl<'a> ServeEngine<'a> {
 
     /// Executes one scheduling round: process arrivals, expire deadlines,
     /// admit from the queue, take one hop from every in-flight session,
-    /// run the merged work on the SearSSD model, and complete finished
-    /// sessions. Returns `false` once every submitted session is terminal.
-    ///
-    /// Single-stepping always uses the inline round executor;
-    /// [`run_to_completion`](Self::run_to_completion) attaches the worker
-    /// pool (results are bit-identical either way).
+    /// run the merged work on the SearSSD model, complete finished
+    /// sessions and apply queued updates. Returns `false` once every
+    /// submitted session is terminal.
     pub fn step_round(&mut self) -> bool {
-        self.step_with(None)
-    }
-
-    pub(crate) fn step_with(&mut self, pool: Option<&mut ServePool<'_>>) -> bool {
         let wall_start = std::time::Instant::now();
-        let more = self.step_round_inner(pool);
+        let more = self.step_round_inner();
         self.wall += wall_start.elapsed();
         more
     }
 
-    fn step_round_inner(&mut self, mut pool: Option<&mut ServePool<'_>>) -> bool {
-        let Some(mut prep) = self.begin_round() else {
-            return false;
-        };
-        // ---- Ship the round's hop stage as one pre-chunked batch. The
-        // cluster tier calls `begin_round`/`finish_round` directly instead
-        // and merges many engines' hop batches into a single pool round.
-        let config = self.config;
-        let jobs = std::mem::take(&mut prep.jobs);
-        let outs: Vec<ServeOut> = match pool.as_deref_mut() {
-            Some(pool) => pool.run_with_min(jobs, HOP_PARALLEL_MIN),
-            None => jobs.into_iter().map(|j| run_serve_job(j, config)).collect(),
-        };
-        self.finish_round(prep, outs, pool)
-    }
-
-    /// First half of a scheduling round: arrivals, expiry, SLO shedding,
-    /// round-boundary snapshots and admission, ending with the round's hop
-    /// jobs built but not yet executed. Returns `None` when the engine is
-    /// fully drained (no work now or ever — the old `false` return).
-    ///
-    /// Splitting the round here lets [`crate::cluster`] collect every
-    /// replica's hop jobs and run them as **one** pool round: hop jobs are
-    /// pure functions of their round-boundary snapshots, so merging
-    /// batches across engines changes where they run, never what they
-    /// return.
-    pub(crate) fn begin_round(&mut self) -> Option<RoundPrep> {
+    fn step_round_inner(&mut self) -> bool {
         // Updates applied at the end of the previous round become visible
         // here — one graph re-snapshot per round, not per update (and the
         // snapshot is fresh even when this call ends up idle-returning).
@@ -1371,26 +1205,139 @@ impl<'a> ServeEngine<'a> {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            let t = next?;
+            let Some(t) = next else {
+                return false;
+            };
             self.now_ns = self.now_ns.max(t);
             self.process_arrivals();
         }
         self.expire_due();
         self.shed_doomed();
+        let t_in = self.admit();
 
-        // ---- Snapshot the world at the round boundary: jobs dispatched
-        // below can never observe a mid-round mutation. ----
-        let dataset = Arc::clone(self.deploy.dataset());
-        let graph = Arc::clone(self.deploy.graph());
-        let prepared = Arc::clone(self.deploy.prepared());
-        let codes = self.deploy.codes().cloned();
+        // ---- One hop per in-flight session, in admission order. Every
+        // hop reads the deployment as the previous round left it. ----
+        let mut hops: Vec<(u32, IterationTrace)> = Vec::new();
+        let mut finished: Vec<QueryId> = Vec::new();
+        let deploy = &self.deploy;
+        for (slot, &id) in self.inflight.iter().enumerate() {
+            let s = &mut self.sessions[id];
+            s.rounds_inflight += 1;
+            let searcher = s.searcher.as_mut().expect("running session has a searcher");
+            let hop = match deploy.codes() {
+                Some(codes) => searcher.step(codes, deploy.graph()),
+                None => searcher.step(deploy.dataset(), deploy.graph()),
+            }
+            .map(|h| deploy.prepared().relabel_hop(&h));
+            if hop.is_none() || searcher.is_finished() {
+                finished.push(id);
+            }
+            if let Some(hop) = hop {
+                hops.push((slot as u32, hop));
+            }
+        }
 
+        // ---- Execute the merged round on the hardware model. Quantized
+        // rounds never touch flash: every distance comes from the
+        // DRAM-resident code table, so the round costs DRAM traffic and
+        // embedded-core compute instead of NAND sensing — flash is paid
+        // only by the exact rerank at completion. ----
+        let quantized = self.deploy.codes().is_some();
+        let mut round_exec: Nanos = 0;
+        if !hops.is_empty() {
+            round_exec = if quantized {
+                self.quantized_round_ns(&hops)
+            } else {
+                let entries: Vec<(u32, VectorId, &[VectorId])> = hops
+                    .iter()
+                    .map(|(q, it)| (*q, it.entry, it.visited.as_slice()))
+                    .collect();
+                let round = execute_round(
+                    self.config,
+                    &self.deploy.prepared().luncsr,
+                    &self.qpt,
+                    &entries,
+                    RoundSinks {
+                        ecc: &mut self.ecc,
+                        stats: &mut self.stats,
+                        luns_touched: &mut self.luns_touched,
+                    },
+                );
+                let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
+                round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap)
+            };
+            self.rounds += 1;
+        }
+        let advance = round_exec.max(t_in);
+        self.now_ns += advance;
+        if !hops.is_empty() {
+            // Feed the shed estimator: mean duration of hop-executing
+            // rounds (simulated values only).
+            self.hop_round_ns_total += advance;
+            self.hop_rounds += 1;
+        }
+
+        // ---- Complete sessions that terminated this round. A session
+        // whose results land past its deadline — it finished its search in
+        // the very round the deadline passed — is `Expired`, not
+        // `Completed`: the deadline check at the round *start* cannot see
+        // this round's clock advance, so completion re-checks it. ----
+        for id in finished {
+            self.inflight.retain(|&x| x != id);
+            let mut tail = self.completion_tail_ns();
+            if quantized {
+                // Exact rerank: the final candidates' full-precision rows
+                // are read from flash and rescored before sorting. The
+                // read extends this query's completion tail (overlapping
+                // subsequent rounds, like the sorting tail), and counts
+                // against its deadline below.
+                tail += self.rerank_tail_ns(id);
+            }
+            let done_ns = self.now_ns + tail;
+            let state = match self.sessions[id].deadline_ns {
+                Some(d) if done_ns > d => SessionState::Expired,
+                _ => SessionState::Completed,
+            };
+            let deploy = &self.deploy;
+            self.sessions[id].finish(state, done_ns, &|v| deploy.is_deleted(v));
+            // Feed the shed estimator's expected-hops prior: this session
+            // ran its search to the end (even if it expired at the tail).
+            self.finished_hops_total += self.sessions[id].hops as u64;
+            self.finished_searches += 1;
+            self.last_completion_ns = self.last_completion_ns.max(done_ns);
+        }
+
+        // ---- Apply admitted updates, in admission order, after the
+        // round's searches. The next round's hops see the mutations. ----
+        for _ in 0..self.serve.max_updates_per_round {
+            let Some(uid) = self.update_queue.pop_front() else {
+                break;
+            };
+            self.apply_update(uid);
+        }
+
+        !self.inflight.is_empty()
+            || !self.queue.is_empty()
+            || !self.arrivals.is_empty()
+            || !self.update_queue.is_empty()
+            || !self.update_arrivals.is_empty()
+    }
+
+    /// Admits queued sessions into flight up to the in-flight cap (and,
+    /// under [`SloPolicy::TenantFair`], the per-tenant cap), building each
+    /// one's searcher. Returns the PCIe transfer-in time the admissions
+    /// charge.
+    fn admit(&mut self) -> Nanos {
         // ---- Admission: PCIe-in DMA overlaps the round's search. The
         // searcher (and its dataset-sized visited set) is built here, not
         // at submit, so resident memory tracks the in-flight cap. ----
         let mut t_in: Nanos = 0;
-        let (num_vertices, beam_width, distance) =
-            (dataset.len(), self.serve.beam_width, self.serve.distance);
+        let (num_vertices, beam_width, distance) = (
+            self.deploy.dataset().len(),
+            self.serve.beam_width,
+            self.serve.distance,
+        );
+        let in_bytes = self.deploy.prepared().vector_bytes as u64 + 16;
         // Per-tenant cap: unbounded unless `TenantFair` is in force, so
         // every other policy admits exactly as the legacy FIFO loop did.
         let tenant_cap = match self.serve.slo {
@@ -1428,9 +1375,8 @@ impl<'a> ServeEngine<'a> {
                 beam_width,
                 distance,
             ));
-            let bytes = prepared.vector_bytes as u64 + 16;
-            t_in += self.config.host_link.transfer_ns(bytes);
-            self.stats.pcie_bytes += bytes;
+            t_in += self.config.host_link.transfer_ns(in_bytes);
+            self.stats.pcie_bytes += in_bytes;
             self.inflight.push(id);
         }
         for id in skipped.into_iter().rev() {
@@ -1444,173 +1390,7 @@ impl<'a> ServeEngine<'a> {
             }
         }
         self.breakdown.pcie_ns += t_in;
-
-        // ---- One hop per in-flight session, in admission order. Hop
-        // steps are independent per session, so they fan out over the
-        // worker pool; results come back in slot order, keeping the
-        // round bit-identical to the sequential path. ----
-        let mut jobs: Vec<ServeJob> = Vec::with_capacity(self.inflight.len());
-        for (slot, &id) in self.inflight.iter().enumerate() {
-            let s = &mut self.sessions[id];
-            s.rounds_inflight += 1;
-            let searcher = s.searcher.take().expect("running session has a searcher");
-            jobs.push(ServeJob::Hop {
-                slot: slot as u32,
-                searcher,
-                dataset: Arc::clone(&dataset),
-                graph: Arc::clone(&graph),
-                prepared: Arc::clone(&prepared),
-                codes: codes.clone(),
-            });
-        }
-        Some(RoundPrep {
-            jobs,
-            t_in,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        })
-    }
-
-    /// Second half of a scheduling round: consumes the hop-stage outputs
-    /// (in job order), executes the merged round's LUN stage (on `pool`
-    /// when provided), advances the clock, completes sessions and applies
-    /// queued updates. Returns whether any work remains.
-    pub(crate) fn finish_round(
-        &mut self,
-        prep: RoundPrep,
-        outs: Vec<ServeOut>,
-        pool: Option<&mut ServePool<'_>>,
-    ) -> bool {
-        let RoundPrep {
-            jobs: _,
-            t_in,
-            dataset,
-            graph,
-            prepared,
-            codes,
-        } = prep;
-        let mut hops: Vec<(u32, IterationTrace)> = Vec::new();
-        let mut finished: Vec<QueryId> = Vec::new();
-        for out in outs {
-            let ServeOut::Hop {
-                slot,
-                searcher,
-                hop,
-                finished: done,
-            } = out
-            else {
-                unreachable!("a hop batch returned a LUN outcome");
-            };
-            let id = self.inflight[slot as usize];
-            self.sessions[id].searcher = Some(searcher);
-            if done {
-                finished.push(id);
-            }
-            if let Some(hop) = hop {
-                hops.push((slot, hop));
-            }
-        }
-
-        // ---- Execute the merged round on the hardware model. Quantized
-        // rounds never touch flash: every distance comes from the
-        // DRAM-resident code table, so the round costs DRAM traffic and
-        // embedded-core compute instead of NAND sensing — flash is paid
-        // only by the exact rerank at completion. ----
-        let mut round_exec: Nanos = 0;
-        if !hops.is_empty() {
-            if let Some(codes) = codes.as_deref() {
-                round_exec = self.quantized_round_ns(codes, &hops);
-                self.rounds += 1;
-            } else {
-                let entries: Vec<(u32, VectorId, &[VectorId])> = hops
-                    .iter()
-                    .map(|(q, it)| (*q, it.entry, it.visited.as_slice()))
-                    .collect();
-                let mut executor = pool.map(|p| RoundExecutor {
-                    pool: p,
-                    prepared: Arc::clone(&prepared),
-                });
-                let round = execute_round(
-                    self.config,
-                    &prepared.luncsr,
-                    &self.qpt,
-                    &entries,
-                    RoundSinks {
-                        ecc: &mut self.ecc,
-                        stats: &mut self.stats,
-                        luns_touched: &mut self.luns_touched,
-                    },
-                    executor.as_mut().map(|e| e as &mut dyn LunExecutor),
-                );
-                let overlap = self.config.scheduling.dynamic_allocating && self.rounds > 0;
-                round_exec = round.apply(&mut self.breakdown, &mut self.prev_shadow, overlap);
-                self.rounds += 1;
-            }
-        }
-        let advance = round_exec.max(t_in);
-        self.now_ns += advance;
-        if !hops.is_empty() {
-            // Feed the shed estimator: mean duration of hop-executing
-            // rounds (simulated values only — bit-identical at any
-            // thread count).
-            self.hop_round_ns_total += advance;
-            self.hop_rounds += 1;
-        }
-
-        // ---- Complete sessions that terminated this round. A session
-        // whose results land past its deadline — it finished its search in
-        // the very round the deadline passed — is `Expired`, not
-        // `Completed`: the deadline check at the round *start* cannot see
-        // this round's clock advance, so completion re-checks it. ----
-        for id in finished {
-            self.inflight.retain(|&x| x != id);
-            let mut tail = self.completion_tail_ns();
-            if codes.is_some() {
-                // Exact rerank: the final candidates' full-precision rows
-                // are read from flash and rescored before sorting. The
-                // read extends this query's completion tail (overlapping
-                // subsequent rounds, like the sorting tail), and counts
-                // against its deadline below.
-                tail += self.rerank_tail_ns(id, &dataset, &prepared);
-            }
-            let done_ns = self.now_ns + tail;
-            let state = match self.sessions[id].deadline_ns {
-                Some(d) if done_ns > d => SessionState::Expired,
-                _ => SessionState::Completed,
-            };
-            let deploy = &self.deploy;
-            self.sessions[id].finish(state, done_ns, &|v| deploy.is_deleted(v));
-            // Feed the shed estimator's expected-hops prior: this session
-            // ran its search to the end (even if it expired at the tail).
-            self.finished_hops_total += self.sessions[id].hops as u64;
-            self.finished_searches += 1;
-            self.last_completion_ns = self.last_completion_ns.max(done_ns);
-        }
-
-        // ---- Apply admitted updates, in admission order, on the
-        // scheduler thread (the write path mutates the deployment, so it
-        // never fans out — which also makes mixed query+update rounds
-        // trivially bit-identical at any thread count). The next round's
-        // snapshots pick the mutations up. The round's own snapshots are
-        // released first so `Arc::make_mut` inside the deployment mutates
-        // in place instead of deep-cloning the dataset and overlay. ----
-        drop(dataset);
-        drop(graph);
-        drop(prepared);
-        for _ in 0..self.serve.max_updates_per_round {
-            let Some(uid) = self.update_queue.pop_front() else {
-                break;
-            };
-            self.apply_update(uid);
-        }
-
-        !self.inflight.is_empty()
-            || !self.queue.is_empty()
-            || !self.arrivals.is_empty()
-            || !self.update_queue.is_empty()
-            || !self.update_arrivals.is_empty()
+        t_in
     }
 
     /// Applies one update session: mutates the deployment, charges the
@@ -1647,21 +1427,9 @@ impl<'a> ServeEngine<'a> {
 
     /// Drives the scheduler until every session is terminal and returns
     /// the report.
-    ///
-    /// Spawns the round executor's worker pool once
-    /// ([`NdsConfig::exec_threads`] threads) and drives every scheduling
-    /// round through it, so serving throughput scales with host cores
-    /// while the report stays bit-identical to single-stepping.
     pub fn run_to_completion(&mut self) -> ServeReport {
-        let config = self.config;
-        crate::exec::with_pool(
-            config.exec_threads,
-            move |job: ServeJob| run_serve_job(job, config),
-            |pool| {
-                while self.step_with(Some(&mut *pool)) {}
-                self.report()
-            },
-        )
+        while self.step_round() {}
+        self.report()
     }
 
     /// Compacts the deployment in place, charging the rewrite's
@@ -1831,32 +1599,30 @@ mod tests {
 
     #[test]
     fn serving_reports_bit_identical_across_thread_counts() {
+        // Two independent engines over the same config must agree
+        // bit-for-bit.
         let mut fx = fixture(400, 16);
         // Keep ECC fault injection on — its counter-indexed streams are
-        // what must not depend on worker scheduling.
+        // what must replay identically.
         fx.config.ecc.hard_decision_failure_prob = 0.05;
         let prepared = stage(&fx);
-        let run = |threads: usize| {
-            let mut config = fx.config.clone();
-            config.exec_threads = threads;
+        let run = || {
             let serve = ServeConfig {
                 max_inflight: 8,
                 ..ServeConfig::default()
             };
-            let mut engine = ServeEngine::new(&config, serve, &prepared, &fx.base, &fx.graph);
+            let mut engine = ServeEngine::new(&fx.config, serve, &prepared, &fx.base, &fx.graph);
             submit_all(&mut engine, &fx, |i| i as Nanos * 500);
             engine.run_to_completion()
         };
-        let sequential = run(1);
-        assert!(sequential.wall_s > 0.0, "wall clock must be measured");
-        assert!(sequential.sim_ns_per_wall_s() > 0.0);
-        for threads in [2usize, 8] {
-            assert_eq!(
-                sequential,
-                run(threads),
-                "serve report diverged at exec_threads = {threads}"
-            );
-        }
+        let first = run();
+        assert!(first.wall_s > 0.0, "wall clock must be measured");
+        assert!(first.sim_ns_per_wall_s() > 0.0);
+        assert_eq!(
+            first,
+            run(),
+            "serve report diverged between independent runs"
+        );
     }
 
     #[test]
@@ -1928,6 +1694,75 @@ mod tests {
         engine2.submit(req);
         let r2 = engine2.run_to_completion();
         assert_eq!(r2.expired(), 1);
+    }
+
+    /// Submits one malformed request (a valid one edited by `edit`, which
+    /// also gets the dataset size) before a valid query, and checks the
+    /// malformed one is `Rejected` at its arrival, never searched, and
+    /// invisible to the valid session and to the device.
+    fn assert_rejected_as_malformed(edit: impl Fn(&mut QueryRequest, usize)) {
+        let fx = fixture(300, 2);
+        let prepared = stage(&fx);
+        let engine = || {
+            ServeEngine::new(
+                &fx.config,
+                ServeConfig::default(),
+                &prepared,
+                &fx.base,
+                &fx.graph,
+            )
+        };
+        let request = |i: u32, at: Nanos| {
+            QueryRequest::at(at, fx.queries.vector(i).to_vec(), vec![fx.medoid])
+        };
+        let mut alone = engine();
+        alone.submit(request(0, 1_000));
+        let want = alone.run_to_completion();
+
+        let mut mixed = engine();
+        let mut bad = request(1, 500);
+        edit(&mut bad, fx.base.len());
+        let bad_id = mixed.submit(bad);
+        assert_eq!(mixed.poll(bad_id), SessionState::Rejected);
+        assert_eq!(mixed.results(bad_id), Some(&[][..]));
+        let ok_id = mixed.submit(request(0, 1_000));
+        let got = mixed.run_to_completion();
+        let bad = &got.outcomes[bad_id];
+        assert_eq!((bad.admitted_ns, bad.completed_ns, bad.hops), (500, 500, 0));
+        assert!(bad.results.is_empty() && !bad.shed);
+        let mut ok = got.outcomes[ok_id].clone();
+        ok.id = 0;
+        assert_eq!(ok, want.outcomes[0]);
+        assert_eq!(got.makespan_ns, want.makespan_ns);
+        assert_eq!(got.stats, want.stats);
+        assert_eq!(got.breakdown, want.breakdown);
+    }
+
+    #[test]
+    fn wrong_dimension_query_is_rejected() {
+        assert_rejected_as_malformed(|req, _| {
+            req.query.pop();
+        });
+    }
+
+    #[test]
+    fn out_of_range_entry_is_rejected() {
+        assert_rejected_as_malformed(|req, n| req.entries.push(n as VectorId));
+    }
+
+    #[test]
+    fn nan_query_is_rejected() {
+        assert_rejected_as_malformed(|req, _| req.query.fill(f32::NAN));
+    }
+
+    #[test]
+    fn zero_top_k_is_rejected() {
+        assert_rejected_as_malformed(|req, _| req.k = Some(0));
+    }
+
+    #[test]
+    fn empty_entry_list_is_rejected() {
+        assert_rejected_as_malformed(|req, _| req.entries.clear());
     }
 
     #[test]
@@ -2144,7 +1979,7 @@ mod tests {
         let mut vs = VisitedSet::new(engine.deployment().dataset().len());
         for (i, (_, q)) in fx.queries.iter().enumerate() {
             let mut want = beam_search(
-                engine.deployment().dataset().as_ref(),
+                engine.deployment().dataset(),
                 engine.deployment().graph(),
                 q,
                 &[fx.medoid],

@@ -16,14 +16,12 @@
 //!   internal bandwidth and compute `dim` MACs per vector across the
 //!   configured lanes.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use ndsearch_flash::ecc::{EccDelta, EccEngine};
 use ndsearch_flash::geometry::{LunId, PlaneId};
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 use ndsearch_graph::luncsr::LunCsr;
+use std::collections::BTreeMap;
 
 use crate::alloc::LunWork;
 use crate::config::NdsConfig;
@@ -57,7 +55,7 @@ pub struct SinReport {
 /// against engine-wide state: the timing report, flash-statistics and ECC
 /// increments, and the planes the work touched (for the FTL's read-disturb
 /// replay). Pure data — the caller merges outcomes in stable LUN order
-/// ([`crate::exec`]) and commits the deltas.
+/// ([`crate::engine`]) and commits the deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LunOutcome {
     /// The LUN that executed the work.
@@ -76,23 +74,12 @@ pub struct LunOutcome {
     pub touched_planes: Vec<PlaneId>,
 }
 
-/// One pooled work unit for the round executor ([`crate::exec::Pool`]):
-/// an owned [`LunWork`] plus the round's engine-wide ECC snapshot
-/// (shared by every job of the round).
-#[derive(Debug, Clone)]
-pub struct LunJob {
-    /// The per-LUN work to process.
-    pub work: LunWork,
-    /// Engine-wide ECC state snapshotted at round start.
-    pub ecc: Arc<EccEngine>,
-}
-
 /// Executes one iteration's work on one LUN accelerator.
 ///
 /// Pure: reads only immutable snapshots (`luncsr`, `config`, the ECC
 /// engine's counter cursors) and returns every effect as a mergeable
-/// [`LunOutcome`], so independent LUNs can run on worker threads with
-/// bit-identical results at any thread count (see [`crate::exec`]).
+/// [`LunOutcome`], so every LUN of a round sees the same round-start
+/// state and the stable LUN-order merge alone fixes the result.
 pub fn process_lun_work(
     work: &LunWork,
     luncsr: &LunCsr,

@@ -25,9 +25,9 @@
 //! [`neg_inner_product`], [`DistanceKind::eval`], the batched variants)
 //! dispatch **once per process**: the first call probes the CPU and the
 //! `NDSEARCH_NO_SIMD` environment variable and caches the decision, so
-//! every thread in a run uses the *same* kernel. That is what keeps reports
-//! bit-identical across `exec_threads` settings — thread count never
-//! changes which kernel scores a vector, only where it runs. Setting
+//! every call in a run uses the *same* kernel. That is what keeps reports
+//! bit-identical from run to run — nothing after start-up changes which
+//! kernel scores a vector. Setting
 //! `NDSEARCH_NO_SIMD=1` pins the portable unrolled kernel, which is
 //! deterministic across x86-64 hosts (no FMA contraction); results differ
 //! from the AVX2 path only by summation-order ulps, never structurally.

@@ -2,7 +2,7 @@
 //! override.
 //!
 //! The workspace's runtime switches (`NDSEARCH_NO_SIMD`,
-//! `NDSEARCH_EXEC_THREADS`, `NDSEARCH_NO_QUANT`, ...) historically grew
+//! `NDSEARCH_NO_QUANT`, ...) historically grew
 //! ad-hoc parsers with diverging whitespace and `"0"` semantics. Every
 //! switch now goes through the two helpers here:
 //!
@@ -72,7 +72,10 @@ mod tests {
         assert_eq!(parse_usize(Some("  ")), None);
         assert_eq!(parse_usize(Some("0")), None, "0 is disabled, not clamped");
         assert_eq!(parse_usize(Some("-3")), None);
-        assert_eq!(parse_usize(Some("4x")), None);
+        for junk in ["4x", "abc", "4.5", "1e3", "0x10"] {
+            assert_eq!(parse_usize(Some(junk)), None, "input {junk:?}");
+        }
+        assert_eq!(parse_usize(Some("1")), Some(1));
         assert_eq!(parse_usize(Some("4")), Some(4));
         assert_eq!(parse_usize(Some(" 8 ")), Some(8), "trimmed integer parses");
     }

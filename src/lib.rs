@@ -55,7 +55,7 @@
 //! `rerank_ns` latency bucket. Inserts encode through the same trained
 //! quantizer, compaction re-packs the table, the QPT DRAM budget admits
 //! more residents (records shrink to code bytes), and quantized runs
-//! stay bit-identical across `exec_threads` and shard orders. Opt out
+//! replay bit-identically under any shard order. Opt out
 //! at runtime with `NDSEARCH_NO_QUANT=1`. See the "Compressed-vector
 //! search & exact rerank" section of `docs/ARCHITECTURE.md` and the
 //! `quant_sweep` bench binary.
@@ -91,8 +91,8 @@
 //! The cluster tier (`core::cluster`, with the
 //! [`vector::shard::ShardPlan`] partitioner) scales serving out across
 //! many simulated devices: per-shard deployments (own index, LUNCSR
-//! staging and flash device), queries scattered to every shard on one
-//! shared worker pool, per-shard top-k gathered by a deterministic
+//! staging and flash device), queries scattered to every shard and
+//! stepped in shard order, per-shard top-k gathered by a deterministic
 //! `(distance, global id)` merge, and updates routed to their owning
 //! shard. See the "Sharded serving" section of `docs/ARCHITECTURE.md`
 //! and the `cluster_sweep` bench binary.
@@ -123,7 +123,7 @@
 //! in-flight share; reports roll up per-tenant latency summaries, SLO
 //! attainment, shed counts and a max/mean p99 fairness ratio. The same
 //! seed replays a whole day — churn, compaction, a load spike, a replica
-//! kill — bit-identically at any `exec_threads`. See the "Traffic
+//! kill — bit-identically. See the "Traffic
 //! scenarios & SLO scheduling" section of `docs/ARCHITECTURE.md` and the
 //! `scenario_sweep` bench binary.
 //!

@@ -1,12 +1,11 @@
-//! Property test: the data-parallel round executor is bit-identical at
-//! any thread count.
+//! Property test: every engine tier replays bit-identically.
 //!
 //! Over randomized datasets, scheduling toggles, ECC failure rates and
-//! seeds, both the batch engine and the serving scheduler must produce
-//! byte-for-byte the same report — latency breakdown, `FlashStats`,
-//! speculation counters, per-query outcomes — at `exec_threads` ∈
-//! {1, 2, 8}. `exec_threads = 1` is the exact legacy sequential path, so
-//! this pins the parallel fan-out to the serial semantics.
+//! seeds, two independent runs of the same configuration — separate
+//! staging, separate engines — must produce byte-for-byte the same
+//! report: latency breakdown, `FlashStats`, speculation counters,
+//! per-query outcomes. The cluster cases also permute the order shards
+//! are stepped in, and the replicated case adds a failure schedule.
 //!
 //! Uses the vendored proptest's deterministic runner directly (engine
 //! runs are too heavy for the default 256-case count).
@@ -31,22 +30,18 @@ use ndsearch::vector::shard::{ShardPlan, ShardPolicy};
 use ndsearch::vector::synthetic::DatasetSpec;
 use ndsearch::vector::{Dataset, VectorId};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 fn random_config(rng: &mut TestRng, n: usize, vector_bytes: usize) -> NdsConfig {
     let mut config = NdsConfig::scaled_for(n, vector_bytes);
     config.seed = (0u64..u64::MAX).generate(rng);
     config.ecc.seed = (0u64..u64::MAX).generate(rng);
     // Fault injection on in most cases: the counter-indexed ECC streams
-    // are exactly the state that must not depend on worker scheduling.
+    // are exactly the state that must replay identically.
     config.ecc.hard_decision_failure_prob = [0.0, 0.05, 0.3][(0usize..3).generate(rng)];
     config.scheduling.dynamic_allocating = any::<bool>().generate(rng);
     config.scheduling.speculative = any::<bool>().generate(rng);
     config.spec_budget_factor = (0.5f64..2.0).generate(rng);
-    // Refresh is deliberately left off: it mutates a private LUNCSR copy
-    // mid-run, so the engine forces the inline executor and the
-    // thread-count comparison would be vacuous (engine-level tests cover
-    // refresh determinism separately).
+    // Refresh is left off here; engine-level tests cover refresh
+    // determinism separately.
     config.refresh_read_threshold = 0;
     config
 }
@@ -64,34 +59,19 @@ fn engine_report_bit_identical_across_thread_counts() {
             let out = index.search_batch(&base, &queries, &SearchParams::default());
             let mut config = random_config(rng, base.len(), base.stored_vector_bytes());
             config.max_batch_inflight = (2usize..64).generate(rng);
-            let reports: Vec<_> = THREAD_COUNTS
-                .iter()
-                .map(|&threads| {
-                    let mut c = config.clone();
-                    c.exec_threads = threads;
-                    let prepared = Prepared::stage(&c, index.base_graph(), &base, &out.trace);
-                    NdsEngine::new(&c).run(&prepared)
-                })
-                .collect();
-            prop_assert_eq!(
-                &reports[0],
-                &reports[1],
-                "engine diverged between 1 and 2 threads"
-            );
-            prop_assert_eq!(
-                &reports[0],
-                &reports[2],
-                "engine diverged between 1 and 8 threads"
-            );
+            let run = || {
+                let prepared = Prepared::stage(&config, index.base_graph(), &base, &out.trace);
+                NdsEngine::new(&config).run(&prepared)
+            };
+            prop_assert_eq!(run(), run(), "engine diverged between independent runs");
             Ok(())
         },
     );
 }
 
 /// Mixed query+update serving: updates mutate the deployment between
-/// rounds while hop/LUN jobs read round-boundary snapshots, so the full
-/// report — query outcomes, update outcomes, write-path totals — must be
-/// bit-identical at `exec_threads` ∈ {1, 4}.
+/// rounds, so the full report — query outcomes, update outcomes,
+/// write-path totals — must be bit-identical between independent runs.
 #[test]
 fn mixed_update_serving_bit_identical_across_thread_counts() {
     proptest::test_runner::run(
@@ -115,41 +95,37 @@ fn mixed_update_serving_bit_identical_across_thread_counts() {
             let interarrival = (0u64..2_000).generate(rng);
             let n_inserts = (4usize..12).generate(rng);
             let n_deletes = (1usize..6).generate(rng);
-            let reports: Vec<_> = [1usize, 4]
-                .iter()
-                .map(|&threads| {
-                    let mut c = config.clone();
-                    c.exec_threads = threads;
-                    let deploy = Deployment::stage(&c, Box::new(index.clone()), base.clone());
-                    let mut engine = ServeEngine::with_deployment(&c, serve.clone(), deploy);
-                    for (i, (_, qv)) in queries.iter().enumerate() {
-                        engine.submit(QueryRequest::at(
-                            i as Nanos * interarrival,
-                            qv.to_vec(),
-                            vec![medoid],
-                        ));
-                    }
-                    for i in 0..n_inserts {
-                        engine.submit_update(UpdateRequest::insert_at(
-                            i as Nanos * interarrival + 500,
-                            queries.vector((i % queries.len()) as u32).to_vec(),
-                        ));
-                    }
-                    for i in 0..n_deletes {
-                        engine.submit_update(UpdateRequest::delete_at(
-                            i as Nanos * interarrival + 900,
-                            (i * 7) as u32 % n as u32,
-                        ));
-                    }
-                    engine.run_to_completion()
-                })
-                .collect();
+            let run = || {
+                let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
+                let mut engine = ServeEngine::with_deployment(&config, serve.clone(), deploy);
+                for (i, (_, qv)) in queries.iter().enumerate() {
+                    engine.submit(QueryRequest::at(
+                        i as Nanos * interarrival,
+                        qv.to_vec(),
+                        vec![medoid],
+                    ));
+                }
+                for i in 0..n_inserts {
+                    engine.submit_update(UpdateRequest::insert_at(
+                        i as Nanos * interarrival + 500,
+                        queries.vector((i % queries.len()) as u32).to_vec(),
+                    ));
+                }
+                for i in 0..n_deletes {
+                    engine.submit_update(UpdateRequest::delete_at(
+                        i as Nanos * interarrival + 900,
+                        (i * 7) as u32 % n as u32,
+                    ));
+                }
+                engine.run_to_completion()
+            };
+            let reference = run();
             prop_assert_eq!(
-                &reports[0],
-                &reports[1],
-                "mixed serving diverged between 1 and 4 threads"
+                &reference,
+                &run(),
+                "mixed serving diverged between independent runs"
             );
-            prop_assert!(reports[0].updates_completed() > 0);
+            prop_assert!(reference.updates_completed() > 0);
             Ok(())
         },
     );
@@ -159,8 +135,8 @@ fn mixed_update_serving_bit_identical_across_thread_counts() {
 /// mixed updates: quantized round costs are derived from hop traces in
 /// slot order and the rerank tail rescores through the same dispatched
 /// kernels, so the full report — outcomes, rerank latency bucket,
-/// page-read stats — must be bit-identical at `exec_threads` ∈ {1, 4}
-/// for both code families.
+/// page-read stats — must be bit-identical between independent runs for
+/// both code families.
 #[test]
 fn quantized_serving_bit_identical_across_thread_counts() {
     proptest::test_runner::run(
@@ -188,41 +164,37 @@ fn quantized_serving_bit_identical_across_thread_counts() {
             };
             let interarrival = (0u64..2_000).generate(rng);
             let n_inserts = (4usize..10).generate(rng);
-            let reports: Vec<_> = [1usize, 4]
-                .iter()
-                .map(|&threads| {
-                    let mut c = config.clone();
-                    c.exec_threads = threads;
-                    let deploy = Deployment::stage(&c, Box::new(index.clone()), base.clone());
-                    let mut engine = ServeEngine::with_deployment(&c, serve.clone(), deploy);
-                    for (i, (_, qv)) in queries.iter().enumerate() {
-                        engine.submit(QueryRequest::at(
-                            i as Nanos * interarrival,
-                            qv.to_vec(),
-                            vec![medoid],
-                        ));
-                    }
-                    for i in 0..n_inserts {
-                        engine.submit_update(UpdateRequest::insert_at(
-                            i as Nanos * interarrival + 500,
-                            queries.vector((i % queries.len()) as u32).to_vec(),
-                        ));
-                    }
-                    engine.run_to_completion()
-                })
-                .collect();
+            let run = || {
+                let deploy = Deployment::stage(&config, Box::new(index.clone()), base.clone());
+                let mut engine = ServeEngine::with_deployment(&config, serve.clone(), deploy);
+                for (i, (_, qv)) in queries.iter().enumerate() {
+                    engine.submit(QueryRequest::at(
+                        i as Nanos * interarrival,
+                        qv.to_vec(),
+                        vec![medoid],
+                    ));
+                }
+                for i in 0..n_inserts {
+                    engine.submit_update(UpdateRequest::insert_at(
+                        i as Nanos * interarrival + 500,
+                        queries.vector((i % queries.len()) as u32).to_vec(),
+                    ));
+                }
+                engine.run_to_completion()
+            };
+            let reference = run();
             prop_assert_eq!(
-                &reports[0],
-                &reports[1],
-                "quantized serving diverged between 1 and 4 threads"
+                &reference,
+                &run(),
+                "quantized serving diverged between independent runs"
             );
-            prop_assert_eq!(reports[0].completed(), q);
+            prop_assert_eq!(reference.completed(), q);
             prop_assert!(
-                reports[0].breakdown.rerank_ns > 0,
+                reference.breakdown.rerank_ns > 0,
                 "quantized completions must charge rerank flash reads"
             );
             prop_assert_eq!(
-                reports[0].breakdown.nand_read_ns,
+                reference.breakdown.nand_read_ns,
                 0,
                 "quantized traversal must not touch NAND"
             );
@@ -232,9 +204,9 @@ fn quantized_serving_bit_identical_across_thread_counts() {
 }
 
 /// Quantized cluster serving: each shard trains its own code table at
-/// staging, so the merged report must be bit-identical at
-/// `exec_threads` ∈ {1, 4} *and* invariant under shard step order — the
-/// same contract as full-precision scatter–gather.
+/// staging, so the merged report must be bit-identical between
+/// independent runs *and* invariant under shard step order — the same
+/// contract as full-precision scatter–gather.
 #[test]
 fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
     proptest::test_runner::run(
@@ -268,11 +240,10 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
                 let entry = index.medoid();
                 (Box::new(index) as Box<dyn MutableIndex>, entry)
             };
-            let run = |threads: usize, order: &[usize]| {
-                let mut c = config.clone();
-                c.exec_threads = threads;
+            let run = |order: &[usize]| {
                 let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, plan_seed);
-                let mut cluster = ClusterEngine::stage(&c, serve.clone(), plan, &base, builder);
+                let mut cluster =
+                    ClusterEngine::stage(&config, serve.clone(), plan, &base, builder);
                 for (i, (_, qv)) in queries.iter().enumerate() {
                     cluster.submit(ClusterQueryRequest::at(
                         i as Nanos * interarrival,
@@ -288,33 +259,31 @@ fn quantized_cluster_bit_identical_across_thread_counts_and_shard_order() {
                 cluster.run_to_completion_ordered(order)
             };
             let identity: Vec<usize> = (0..shards).collect();
-            let reference = run(1, &identity);
+            let reference = run(&identity);
             prop_assert_eq!(reference.completed(), q);
             prop_assert_eq!(
                 &reference,
-                &run(4, &identity),
-                "quantized cluster diverged between 1 and 4 threads"
+                &run(&identity),
+                "quantized cluster diverged between independent runs"
             );
-            prop_assert_eq!(
-                &reference,
-                &run(1, &[3usize, 1, 0, 2]),
-                "quantized cluster diverged under permuted shard order"
-            );
-            prop_assert_eq!(
-                &reference,
-                &run(4, &[2usize, 3, 0, 1]),
-                "quantized cluster diverged under 4 threads + permuted order"
-            );
+            for order in [[3usize, 1, 0, 2], [2, 3, 0, 1]] {
+                prop_assert_eq!(
+                    &reference,
+                    &run(&order),
+                    "quantized cluster diverged under shard step order {:?}",
+                    order
+                );
+            }
             Ok(())
         },
     );
 }
 
-/// Sharded scatter–gather serving: every shard engine is bit-identical
-/// at any thread count and shards share no state, so the full cluster
+/// Sharded scatter–gather serving: every shard engine replays
+/// bit-identically and shards share no state, so the full cluster
 /// report — merged outcomes, update outcomes, every per-shard breakdown
 /// (wall-clock fields excluded by `ServeReport`'s equality) — must be
-/// bit-identical at `exec_threads` ∈ {1, 4} *and* invariant under the
+/// bit-identical between independent runs *and* invariant under the
 /// order shards are stepped in.
 #[test]
 fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
@@ -349,11 +318,10 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
                 let entry = index.medoid();
                 (Box::new(index) as Box<dyn MutableIndex>, entry)
             };
-            let run = |threads: usize, order: &[usize]| {
-                let mut c = config.clone();
-                c.exec_threads = threads;
+            let run = |order: &[usize]| {
                 let plan = ShardPlan::partition(n, shards, policy, plan_seed);
-                let mut cluster = ClusterEngine::stage(&c, serve.clone(), plan, &base, builder);
+                let mut cluster =
+                    ClusterEngine::stage(&config, serve.clone(), plan, &base, builder);
                 for (i, (_, qv)) in queries.iter().enumerate() {
                     cluster.submit(ClusterQueryRequest::at(
                         i as Nanos * interarrival,
@@ -375,26 +343,21 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
                 cluster.run_to_completion_ordered(order)
             };
             let identity: Vec<usize> = (0..shards).collect();
-            let reference = run(1, &identity);
+            let reference = run(&identity);
             prop_assert!(reference.updates_completed() > 0);
             prop_assert_eq!(
                 &reference,
-                &run(4, &identity),
-                "cluster diverged between 1 and 4 threads"
+                &run(&identity),
+                "cluster diverged between independent runs"
             );
-            for order in [[3usize, 1, 0, 2], [2, 3, 0, 1]] {
+            for order in [[3usize, 1, 0, 2], [2, 3, 0, 1], [1, 0, 3, 2]] {
                 prop_assert_eq!(
                     &reference,
-                    &run(1, &order),
+                    &run(&order),
                     "cluster diverged under shard step order {:?}",
                     order
                 );
             }
-            prop_assert_eq!(
-                &reference,
-                &run(4, &[1usize, 0, 3, 2]),
-                "cluster diverged under 4 threads + permuted shard order"
-            );
             Ok(())
         },
     );
@@ -405,7 +368,7 @@ fn cluster_report_bit_identical_across_thread_counts_and_shard_order() {
 /// schedule/submission order, so a mid-run replica kill plus an ECC
 /// storm must reproduce the full cluster report — failover re-seeds,
 /// hedge races, availability, per-replica breakdowns — bit-identically
-/// at `exec_threads` ∈ {1, 4} and under permuted shard step orders.
+/// between independent runs and under permuted shard step orders.
 #[test]
 fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
     proptest::test_runner::run(
@@ -451,14 +414,12 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
                 let entry = index.medoid();
                 (Box::new(index) as Box<dyn MutableIndex>, entry)
             };
-            let run = |threads: usize, order: &[usize]| {
-                let mut c = config.clone();
-                c.exec_threads = threads;
+            let run = |order: &[usize]| {
                 // BalancedSize never leaves a shard empty, so the killed
                 // replica always had sessions to fail over.
                 let plan = ShardPlan::partition(n, shards, ShardPolicy::BalancedSize, plan_seed);
                 let mut cluster = ClusterEngine::stage_replicated(
-                    &c,
+                    &config,
                     serve.clone(),
                     plan,
                     replication.clone(),
@@ -474,25 +435,23 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
                 cluster.run_to_completion_ordered(order)
             };
             let identity: Vec<usize> = (0..shards).collect();
-            let reference = run(1, &identity);
+            let reference = run(&identity);
             prop_assert_eq!(reference.completed(), q, "failover lost sessions");
             prop_assert!(reference.failovers() > 0, "kill at t=1 must fail over");
             prop_assert!(reference.availability() > 0.0 && reference.availability() <= 1.0);
             prop_assert_eq!(
                 &reference,
-                &run(4, &identity),
-                "replicated cluster diverged between 1 and 4 threads"
+                &run(&identity),
+                "replicated cluster diverged between independent runs"
             );
-            prop_assert_eq!(
-                &reference,
-                &run(1, &[3usize, 1, 0, 2]),
-                "replicated cluster diverged under permuted shard order"
-            );
-            prop_assert_eq!(
-                &reference,
-                &run(4, &[2usize, 3, 0, 1]),
-                "replicated cluster diverged under 4 threads + permuted order"
-            );
+            for order in [[3usize, 1, 0, 2], [2, 3, 0, 1]] {
+                prop_assert_eq!(
+                    &reference,
+                    &run(&order),
+                    "replicated cluster diverged under shard step order {:?}",
+                    order
+                );
+            }
             Ok(())
         },
     );
@@ -500,10 +459,11 @@ fn replicated_failover_bit_identical_across_thread_counts_and_shard_order() {
 
 /// Scenario-engine traffic over the cluster tier: a multi-tenant bursty
 /// trace (Zipfian hotspots, deadlines, inserts and deletes) served under
-/// `SloPolicy::TenantFair` must produce a bit-identical cluster report at
-/// `exec_threads` ∈ {1, 4}. SLO admission skips and per-tenant in-flight
-/// accounting run on simulated counters only, so thread count must not
-/// leak into shedding, fairness or the merged outcomes.
+/// `SloPolicy::TenantFair` must produce a bit-identical cluster report
+/// between independent runs. SLO admission skips and per-tenant
+/// in-flight accounting run on simulated counters only, so nothing but
+/// the simulation may leak into shedding, fairness or the merged
+/// outcomes.
 #[test]
 fn scenario_traffic_with_tenant_fairness_bit_identical_across_thread_counts() {
     use ndsearch::core::serve::SloPolicy;
@@ -548,21 +508,19 @@ fn scenario_traffic_with_tenant_fairness_bit_identical_across_thread_counts() {
         let entry = index.medoid();
         (Box::new(index) as Box<dyn MutableIndex>, entry)
     };
-    let run = |threads: usize| {
-        let mut c = config.clone();
-        c.exec_threads = threads;
+    let run = || {
         let plan = ShardPlan::partition(300, 4, ShardPolicy::BalancedSize, 0x5A);
-        let mut cluster = ClusterEngine::stage(&c, serve.clone(), plan, &base, builder);
+        let mut cluster = ClusterEngine::stage(&config, serve.clone(), plan, &base, builder);
         trace.submit_cluster(&mut cluster, &queries, &queries);
         cluster.run_to_completion()
     };
-    let reference = run(1);
+    let reference = run();
     assert_eq!(reference.outcomes.len(), trace.queries());
     assert_eq!(reference.update_outcomes.len(), trace.updates());
     assert_eq!(
         reference,
-        run(4),
-        "scenario traffic diverged between 1 and 4 threads"
+        run(),
+        "scenario traffic diverged between independent runs"
     );
 }
 
@@ -587,33 +545,19 @@ fn serving_report_bit_identical_across_thread_counts() {
             let interarrival = (0u64..2_000).generate(rng);
             let prepared =
                 Prepared::stage(&config, index.base_graph(), &base, &BatchTrace::default());
-            let reports: Vec<_> = THREAD_COUNTS
-                .iter()
-                .map(|&threads| {
-                    let mut c = config.clone();
-                    c.exec_threads = threads;
-                    let mut engine =
-                        ServeEngine::new(&c, serve.clone(), &prepared, &base, index.base_graph());
-                    for (i, (_, qv)) in queries.iter().enumerate() {
-                        engine.submit(QueryRequest::at(
-                            i as Nanos * interarrival,
-                            qv.to_vec(),
-                            vec![index.medoid()],
-                        ));
-                    }
-                    engine.run_to_completion()
-                })
-                .collect();
-            prop_assert_eq!(
-                &reports[0],
-                &reports[1],
-                "serving diverged between 1 and 2 threads"
-            );
-            prop_assert_eq!(
-                &reports[0],
-                &reports[2],
-                "serving diverged between 1 and 8 threads"
-            );
+            let run = || {
+                let mut engine =
+                    ServeEngine::new(&config, serve.clone(), &prepared, &base, index.base_graph());
+                for (i, (_, qv)) in queries.iter().enumerate() {
+                    engine.submit(QueryRequest::at(
+                        i as Nanos * interarrival,
+                        qv.to_vec(),
+                        vec![index.medoid()],
+                    ));
+                }
+                engine.run_to_completion()
+            };
+            prop_assert_eq!(run(), run(), "serving diverged between independent runs");
             Ok(())
         },
     );

