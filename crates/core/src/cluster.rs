@@ -136,7 +136,6 @@ use ndsearch_vector::VectorId;
 
 use crate::config::NdsConfig;
 use crate::deploy::{Deployment, UpdateTotals};
-use crate::report::LatencySummary;
 use crate::serve::{
     QueryId, QueryOutcome, QueryRequest, ServeConfig, ServeEngine, ServeReport, SessionState,
     UpdateId, UpdateOp, UpdateOutcome, UpdateRequest,
@@ -384,43 +383,6 @@ impl ClusterQueryRequest {
     }
 }
 
-/// Final record of one cluster query: the gather of its per-shard
-/// sessions (per shard, the winning copy — see
-/// [`ReplicaPolicy::Hedged`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterQueryOutcome {
-    /// Cluster query id (submission order).
-    pub id: ClusterQueryId,
-    /// Merged terminal state: `Completed` only if every shard session
-    /// completed; `Rejected` if any shard rejected the session;
-    /// otherwise `Expired` if any shard cut it off at the deadline.
-    pub state: SessionState,
-    /// The submitted arrival time.
-    pub arrival_ns: Nanos,
-    /// Latest winning per-shard completion — the gather cannot merge
-    /// before the slowest shard has answered.
-    pub completed_ns: Nanos,
-    /// Beam-search hops executed across all shards, **including** work
-    /// spent on hedges and on sessions abandoned by a failover.
-    pub hops: usize,
-    /// Merged top-k in **global** ids, ascending `(distance, id)`.
-    pub results: Vec<Neighbor>,
-    /// Tenant the query belonged to.
-    pub tenant: u32,
-    /// The deadline it carried, if any.
-    pub deadline_ns: Option<Nanos>,
-    /// Whether any winning shard session was terminated by a
-    /// [`crate::serve::SloPolicy::ShedDoomed`] decision.
-    pub shed: bool,
-}
-
-impl ClusterQueryOutcome {
-    /// End-to-end latency the client observed (arrival → merged top-k).
-    pub fn latency_ns(&self) -> Nanos {
-        self.completed_ns.saturating_sub(self.arrival_ns)
-    }
-}
-
 /// One replica's slice of a [`ShardBreakdown`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaBreakdown {
@@ -469,8 +431,10 @@ pub struct ShardBreakdown {
 /// bit-for-bit for two reports to compare equal.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// One record per submitted cluster query, in submission order.
-    pub outcomes: Vec<ClusterQueryOutcome>,
+    /// One record per submitted cluster query, in submission order: the
+    /// gather of its per-shard sessions (see [`QueryOutcome`] for what
+    /// each field means for a cluster query).
+    pub outcomes: Vec<QueryOutcome>,
     /// One record per submitted cluster update, in submission order
     /// (`assigned` ids are global).
     pub update_outcomes: Vec<UpdateOutcome>,
@@ -495,45 +459,9 @@ impl PartialEq for ClusterReport {
     }
 }
 
+crate::report::outcome_accessors!(ClusterReport);
+
 impl ClusterReport {
-    /// Cluster queries that completed on every shard.
-    pub fn completed(&self) -> usize {
-        self.count(SessionState::Completed)
-    }
-
-    /// Cluster queries rejected by at least one shard's backpressure.
-    pub fn rejected(&self) -> usize {
-        self.count(SessionState::Rejected)
-    }
-
-    /// Cluster queries cut off at their deadline on at least one shard.
-    pub fn expired(&self) -> usize {
-        self.count(SessionState::Expired)
-    }
-
-    fn count(&self, s: SessionState) -> usize {
-        self.outcomes.iter().filter(|o| o.state == s).count()
-    }
-
-    /// Goodput: fully completed queries per second of cluster makespan.
-    pub fn qps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / (self.makespan_ns as f64 / 1e9)
-        }
-    }
-
-    /// Wall-clock simulation throughput: simulated nanoseconds advanced
-    /// per host second spent simulating (0 when nothing was measured).
-    pub fn sim_ns_per_wall_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.makespan_ns as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
     /// Sessions re-seeded on a survivor after a kill, cluster-wide.
     pub fn failovers(&self) -> usize {
         self.shards.iter().map(|s| s.failovers).sum()
@@ -566,66 +494,6 @@ impl ClusterReport {
             return 1.0;
         }
         self.shards.iter().map(|s| s.availability).sum::<f64>() / self.shards.len() as f64
-    }
-
-    /// Updates applied to completion.
-    pub fn updates_completed(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .count()
-    }
-
-    /// Updates rejected (routing, backpressure or shard-level rejection).
-    pub fn updates_rejected(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Rejected)
-            .count()
-    }
-
-    /// Latency order statistics over fully completed cluster queries,
-    /// plus the wall-clock simulation-throughput fields.
-    pub fn latency(&self) -> LatencySummary {
-        let samples: Vec<Nanos> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .map(|o| o.latency_ns())
-            .collect();
-        let mut summary = LatencySummary::from_samples(&samples);
-        summary.wall_s = self.wall_s;
-        summary.sim_ns_per_wall_s = self.sim_ns_per_wall_s();
-        summary
-    }
-
-    /// Cluster queries whose winning session on some shard was shed by a
-    /// [`crate::serve::SloPolicy::ShedDoomed`] decision.
-    pub fn sheds(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.shed).count()
-    }
-
-    /// SLO attainment: the fraction of deadline-carrying cluster queries
-    /// that completed on time on every shard; `1.0` when none carried a
-    /// deadline.
-    pub fn slo_attainment(&self) -> f64 {
-        crate::serve::slo_attainment_of(self.outcomes.iter().map(|o| (o.deadline_ns, o.state)))
-    }
-
-    /// Per-tenant roll-ups over the merged cluster outcomes, ascending by
-    /// tenant id.
-    pub fn tenant_summaries(&self) -> Vec<crate::report::TenantSummary> {
-        crate::report::summarize_tenants(&crate::serve::tenant_samples(
-            self.outcomes
-                .iter()
-                .map(|o| (o.tenant, o.state, o.shed, o.deadline_ns, o.latency_ns())),
-        ))
-    }
-
-    /// Fairness metric: max over mean of the per-tenant p99 latencies
-    /// (see [`crate::report::tenant_p99_fairness`]).
-    pub fn tenant_p99_fairness(&self) -> f64 {
-        crate::report::tenant_p99_fairness(&self.tenant_summaries())
     }
 
     /// Write-path totals summed across **every replica device** of every
@@ -680,6 +548,23 @@ struct Replica<'a> {
     routed: Vec<QueryId>,
 }
 
+impl Replica<'_> {
+    /// Submits a copy of `req` arriving at `arrival_ns`, seeded at this
+    /// replica's entry vertex, and records it as routed here.
+    fn route(&mut self, req: &ClusterQueryRequest, arrival_ns: Nanos) -> QueryId {
+        let query = self.engine.submit(QueryRequest {
+            query: req.query.clone(),
+            entries: vec![self.entry],
+            arrival_ns,
+            deadline_ns: req.deadline_ns,
+            tenant: req.tenant,
+            k: req.k,
+        });
+        self.routed.push(query);
+        query
+    }
+}
+
 /// One staged shard: its replica set plus routing state.
 struct Shard<'a> {
     replicas: Vec<Replica<'a>>,
@@ -722,7 +607,7 @@ impl Shard<'_> {
                 let outstanding = rep
                     .routed
                     .iter()
-                    .filter(|&&q| !is_terminal(rep.engine.poll(q)))
+                    .filter(|&&q| !rep.engine.poll(q).is_terminal())
                     .count();
                 (outstanding, r)
             }),
@@ -768,12 +653,7 @@ struct ScatterShard {
 /// One scattered query: the request (kept for re-seeding) plus the
 /// per-shard session state.
 struct Scatter {
-    query: Vec<f32>,
-    arrival_ns: Nanos,
-    deadline_ns: Option<Nanos>,
-    tenant: u32,
-    /// Per-query top-k override for the gather.
-    k: Option<usize>,
+    req: ClusterQueryRequest,
     sessions: Vec<Option<ScatterShard>>,
 }
 
@@ -958,16 +838,7 @@ impl<'a> ClusterEngine<'a> {
             .map(|slot| {
                 let shard = slot.as_mut()?;
                 let replica = shard.route_query(policy)?;
-                let rep = &mut shard.replicas[replica];
-                let query = rep.engine.submit(QueryRequest {
-                    query: req.query.clone(),
-                    entries: vec![rep.entry],
-                    arrival_ns: req.arrival_ns,
-                    deadline_ns: req.deadline_ns,
-                    tenant: req.tenant,
-                    k: req.k,
-                });
-                rep.routed.push(query);
+                let query = shard.replicas[replica].route(&req, req.arrival_ns);
                 Some(ScatterShard {
                     primary: ShardSession { replica, query },
                     hedge: None,
@@ -976,14 +847,7 @@ impl<'a> ClusterEngine<'a> {
                 })
             })
             .collect();
-        self.queries.push(Scatter {
-            query: req.query,
-            arrival_ns: req.arrival_ns,
-            deadline_ns: req.deadline_ns,
-            tenant: req.tenant,
-            k: req.k,
-            sessions,
-        });
+        self.queries.push(Scatter { req, sessions });
         id
     }
 
@@ -1064,21 +928,14 @@ impl<'a> ClusterEngine<'a> {
             .iter()
             .enumerate()
             .filter_map(|(s, session)| {
-                session.as_ref().map(|sc| {
-                    let shard = self.shards[s].as_ref().expect("session on staged shard");
-                    let primary = shard.replicas[sc.primary.replica]
-                        .engine
-                        .poll(sc.primary.query);
-                    let hedge = sc
-                        .hedge
-                        .map(|h| shard.replicas[h.replica].engine.poll(h.query));
-                    if primary == SessionState::Completed || hedge == Some(SessionState::Completed)
-                    {
-                        SessionState::Completed
-                    } else {
-                        primary
-                    }
-                })
+                let sc = session.as_ref()?;
+                let shard = self.shards[s].as_ref().expect("session on staged shard");
+                let finish = |ss: ShardSession| {
+                    let engine = &shard.replicas[ss.replica].engine;
+                    (engine.poll(ss.query), engine.completed_ns(ss.query))
+                };
+                let (winner, _) = pick_winner(sc.primary, sc.hedge, finish);
+                Some(finish(winner).0)
             })
             .collect();
         merge_states(&states)
@@ -1105,7 +962,7 @@ impl<'a> ClusterEngine<'a> {
                     let any = locals
                         .iter()
                         .map(|(ri, l)| shard.replicas[*ri].engine.poll_update(*l))
-                        .find(is_terminal_ref);
+                        .find(|state| state.is_terminal());
                     return any.unwrap_or(SessionState::Rejected);
                 }
                 merge_states(&alive)
@@ -1261,7 +1118,7 @@ impl<'a> ClusterEngine<'a> {
                 continue;
             };
             if let Some(h) = sc.hedge {
-                if h.replica == r && !is_terminal(shard.replicas[r].engine.poll(h.query)) {
+                if h.replica == r && !shard.replicas[r].engine.poll(h.query).is_terminal() {
                     // The backup died mid-race: drop it and re-arm so a
                     // fresh hedge may fire on a survivor later.
                     sc.abandoned.push(h);
@@ -1270,21 +1127,16 @@ impl<'a> ClusterEngine<'a> {
                 }
             }
             if sc.primary.replica == r
-                && !is_terminal(shard.replicas[r].engine.poll(sc.primary.query))
+                && !shard.replicas[r]
+                    .engine
+                    .poll(sc.primary.query)
+                    .is_terminal()
             {
                 let Some(surv) = survivor else { continue };
-                let rep = &mut shard.replicas[surv];
-                let query = rep.engine.submit(QueryRequest {
-                    query: scatter.query.clone(),
-                    entries: vec![rep.entry],
-                    // A session that had not even arrived yet keeps its
-                    // original arrival time on the survivor.
-                    arrival_ns: at_ns.max(scatter.arrival_ns),
-                    deadline_ns: scatter.deadline_ns,
-                    tenant: scatter.tenant,
-                    k: scatter.k,
-                });
-                rep.routed.push(query);
+                // A session that had not even arrived yet keeps its
+                // original arrival time on the survivor.
+                let arrival_ns = at_ns.max(scatter.req.arrival_ns);
+                let query = shard.replicas[surv].route(&scatter.req, arrival_ns);
                 let old = std::mem::replace(
                     &mut sc.primary,
                     ShardSession {
@@ -1311,7 +1163,7 @@ impl<'a> ClusterEngine<'a> {
         };
         let mut new_work = false;
         for scatter in &mut self.queries {
-            let fire_at = scatter.arrival_ns.saturating_add(delay_ns);
+            let fire_at = scatter.req.arrival_ns.saturating_add(delay_ns);
             for (s, session) in scatter.sessions.iter_mut().enumerate() {
                 let Some(sc) = session else { continue };
                 if sc.hedge.is_some() || sc.hedge_spent {
@@ -1322,7 +1174,7 @@ impl<'a> ClusterEngine<'a> {
                 if !primary.alive || primary.engine.now_ns() < fire_at {
                     continue;
                 }
-                if is_terminal(primary.engine.poll(sc.primary.query)) {
+                if primary.engine.poll(sc.primary.query).is_terminal() {
                     // Finished inside the delay: no hedge ever needed.
                     sc.hedge_spent = true;
                     continue;
@@ -1331,16 +1183,7 @@ impl<'a> ClusterEngine<'a> {
                     sc.hedge_spent = true;
                     continue;
                 };
-                let rep = &mut shard.replicas[backup];
-                let query = rep.engine.submit(QueryRequest {
-                    query: scatter.query.clone(),
-                    entries: vec![rep.entry],
-                    arrival_ns: fire_at,
-                    deadline_ns: scatter.deadline_ns,
-                    tenant: scatter.tenant,
-                    k: scatter.k,
-                });
-                rep.routed.push(query);
+                let query = shard.replicas[backup].route(&scatter.req, fire_at);
                 sc.hedge = Some(ShardSession {
                     replica: backup,
                     query,
@@ -1369,16 +1212,7 @@ impl<'a> ClusterEngine<'a> {
         while self.resolved.len() < self.routes.len() {
             let id = self.resolved.len();
             let outcome = match &self.routes[id] {
-                Route::Cluster { arrival_ns } => UpdateOutcome {
-                    id,
-                    state: SessionState::Rejected,
-                    arrival_ns: *arrival_ns,
-                    admitted_ns: *arrival_ns,
-                    completed_ns: *arrival_ns,
-                    assigned: None,
-                    repaired: 0,
-                    pages_programmed: 0,
-                },
+                Route::Cluster { arrival_ns } => UpdateOutcome::rejected(id, *arrival_ns),
                 Route::Shard {
                     shard,
                     locals,
@@ -1400,11 +1234,11 @@ impl<'a> ClusterEngine<'a> {
                         locals
                             .iter()
                             .copied()
-                            .find(|&(ri, l)| is_terminal(outcome_of(ri, l).state))
+                            .find(|&(ri, l)| outcome_of(ri, l).state.is_terminal())
                     } else {
                         if !alive
                             .iter()
-                            .all(|&(ri, l)| is_terminal(outcome_of(ri, l).state))
+                            .all(|&(ri, l)| outcome_of(ri, l).state.is_terminal())
                         {
                             break; // still pending on an alive replica
                         }
@@ -1424,16 +1258,8 @@ impl<'a> ClusterEngine<'a> {
                         if delete.is_none() {
                             self.inflight_inserts[*shard] -= 1;
                         }
-                        self.resolved.push(UpdateOutcome {
-                            id,
-                            state: SessionState::Rejected,
-                            arrival_ns: o.arrival_ns,
-                            admitted_ns: o.arrival_ns,
-                            completed_ns: o.arrival_ns,
-                            assigned: None,
-                            repaired: 0,
-                            pages_programmed: 0,
-                        });
+                        self.resolved
+                            .push(UpdateOutcome::rejected(id, o.arrival_ns));
                         continue;
                     };
                     let o = outcome_of(ri, l);
@@ -1495,15 +1321,15 @@ impl<'a> ClusterEngine<'a> {
 
         let default_k = self.serve.k;
         let mut hedge_wins = vec![0usize; self.shards.len()];
-        let outcomes: Vec<ClusterQueryOutcome> = self
+        let outcomes: Vec<QueryOutcome> = self
             .queries
             .iter()
             .enumerate()
             .map(|(id, scatter)| {
-                let k = scatter.k.unwrap_or(default_k);
+                let k = scatter.req.k.unwrap_or(default_k);
                 let mut states = Vec::new();
                 let mut merged: Vec<Neighbor> = Vec::new();
-                let mut completed = 0;
+                let (mut admitted, mut completed, mut rounds_inflight) = (0, 0, 0);
                 let mut hops = 0;
                 let mut shed = false;
                 for (s, session) in scatter.sessions.iter().enumerate() {
@@ -1512,13 +1338,16 @@ impl<'a> ClusterEngine<'a> {
                     let outcome_of = |ss: &ShardSession| &reps[ss.replica].outcomes[ss.query];
                     let primary = outcome_of(&sc.primary);
                     let hedge = sc.hedge.as_ref().map(&outcome_of);
-                    let (winner, hedge_won) = pick_winner(primary, hedge);
+                    let (winner, hedge_won) =
+                        pick_winner(primary, hedge, |o| (o.state, o.completed_ns));
                     if hedge_won {
                         hedge_wins[s] += 1;
                     }
                     states.push(winner.state);
                     shed |= winner.shed;
+                    admitted = admitted.max(winner.admitted_ns);
                     completed = completed.max(winner.completed_ns);
+                    rounds_inflight = rounds_inflight.max(winner.rounds_inflight);
                     hops += primary.hops
                         + hedge.map_or(0, |o| o.hops)
                         + sc.abandoned
@@ -1536,15 +1365,17 @@ impl<'a> ClusterEngine<'a> {
                 // total order is (distance, id), ties broken by global id.
                 merged.sort_unstable();
                 merged.truncate(k);
-                ClusterQueryOutcome {
+                QueryOutcome {
                     id,
                     state: merge_states(&states),
-                    arrival_ns: scatter.arrival_ns,
+                    arrival_ns: scatter.req.arrival_ns,
+                    admitted_ns: admitted,
                     completed_ns: completed,
                     hops,
+                    rounds_inflight,
                     results: merged,
-                    tenant: scatter.tenant,
-                    deadline_ns: scatter.deadline_ns,
+                    tenant: scatter.req.tenant,
+                    deadline_ns: scatter.req.deadline_ns,
                     shed,
                 }
             })
@@ -1614,34 +1445,24 @@ impl<'a> ClusterEngine<'a> {
     }
 }
 
-/// Whether a session state is final.
-fn is_terminal(state: SessionState) -> bool {
-    matches!(
-        state,
-        SessionState::Completed | SessionState::Rejected | SessionState::Expired
-    )
-}
-
-fn is_terminal_ref(state: &SessionState) -> bool {
-    is_terminal(*state)
-}
-
-/// Picks the copy of a shard session that answers for its shard: a
-/// completed hedge wins iff the primary did not complete or completed
-/// later (ties go to the primary). Returns the winner and whether the
-/// hedge won.
-fn pick_winner<'o>(
-    primary: &'o QueryOutcome,
-    hedge: Option<&'o QueryOutcome>,
-) -> (&'o QueryOutcome, bool) {
+/// Picks the copy of a shard session that answers for its shard, given
+/// each copy's `(state, completed_ns)` through `finish`: a completed hedge
+/// wins iff the primary did not complete or completed later (ties go to
+/// the primary). Returns the winner and whether the hedge won.
+fn pick_winner<T: Copy>(
+    primary: T,
+    hedge: Option<T>,
+    finish: impl Fn(T) -> (SessionState, Nanos),
+) -> (T, bool) {
     let Some(hedge) = hedge else {
         return (primary, false);
     };
+    let ((p_state, p_done), (h_state, h_done)) = (finish(primary), finish(hedge));
     match (
-        primary.state == SessionState::Completed,
-        hedge.state == SessionState::Completed,
+        p_state == SessionState::Completed,
+        h_state == SessionState::Completed,
     ) {
-        (true, true) if hedge.completed_ns < primary.completed_ns => (hedge, true),
+        (true, true) if h_done < p_done => (hedge, true),
         (false, true) => (hedge, true),
         _ => (primary, false),
     }
@@ -1820,6 +1641,47 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_insert_leaves_the_plan_and_later_ids_unchanged() {
+        let (config, base, extra) = fixture(300, 6);
+        let run = |poisoned: bool| {
+            let plan = ShardPlan::partition(base.len(), 3, ShardPolicy::BalancedSize, 0);
+            let mut cluster =
+                ClusterEngine::stage(&config, ServeConfig::default(), plan, &base, vamana_builder);
+            let mut inserts = Vec::new();
+            for (i, (_, v)) in extra.iter().enumerate() {
+                let at = i as Nanos * 1_000;
+                if poisoned {
+                    let mut bad = v.to_vec();
+                    bad[i] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+                    let id = cluster.submit_update(UpdateRequest::insert_at(at, bad));
+                    assert_eq!(cluster.poll_update(id), SessionState::Rejected);
+                }
+                inserts.push(cluster.submit_update(UpdateRequest::insert_at(at, v.to_vec())));
+            }
+            let report = cluster.run_to_completion();
+            let assigned: Vec<Option<VectorId>> = inserts
+                .iter()
+                .map(|&u| report.update_outcomes[u].assigned)
+                .collect();
+            (cluster.plan().len(), assigned, report)
+        };
+        let (want_len, want_ids, _) = run(false);
+        let (got_len, got_ids, report) = run(true);
+        assert_eq!(report.updates_rejected(), extra.len());
+        assert_eq!(report.updates_completed(), extra.len());
+        assert_eq!(got_len, want_len);
+        assert_eq!(got_len, base.len() + extra.len());
+        assert_eq!(got_ids, want_ids);
+        for o in report
+            .update_outcomes
+            .iter()
+            .filter(|o| o.state == SessionState::Rejected)
+        {
+            assert_eq!(o.assigned, None);
+        }
+    }
+
+    #[test]
     fn single_shard_cluster_matches_unsharded_engine() {
         let (config, base, queries) = fixture(300, 6);
         // Unsharded reference.
@@ -1842,12 +1704,9 @@ mod tests {
             cluster.submit(ClusterQueryRequest::at(i as Nanos * 1_000, q.to_vec()));
         }
         let report = cluster.run_to_completion();
-        // One shard holding everything is the unsharded engine: same
-        // results, same timing.
-        for (c, f) in report.outcomes.iter().zip(&flat_report.outcomes) {
-            assert_eq!(c.results, f.results);
-            assert_eq!(c.completed_ns, f.completed_ns);
-        }
+        // One shard holding everything is the unsharded engine: the same
+        // record for every query — results, timing, hops and rounds.
+        assert_eq!(report.outcomes, flat_report.outcomes);
     }
 
     #[test]
@@ -2093,13 +1952,13 @@ mod tests {
         let report = cluster.run_to_completion();
         assert_eq!(report.completed(), 0);
         for o in &report.outcomes {
-            assert!(!is_terminal(o.state), "outage must leave queries pending");
+            assert!(!o.state.is_terminal(), "outage must leave queries pending");
         }
         assert!(report.shards[0].availability < 1.0);
         // New submissions skip the dead shard entirely (and keep the
         // cluster outcome non-terminal rather than panicking).
         let id = cluster.submit(ClusterQueryRequest::at(0, queries.vector(0).to_vec()));
-        assert!(!is_terminal(cluster.poll(id)));
+        assert!(!cluster.poll(id).is_terminal());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use ndsearch_flash::stats::FlashStats;
 use ndsearch_flash::timing::Nanos;
 
+use crate::serve::{QueryOutcome, SessionState};
 use crate::speculative::SpeculationStats;
 
 /// Order statistics over a set of latency samples — the shape a serving
@@ -28,10 +29,10 @@ pub struct LatencySummary {
     /// [`crate::serve::ServeReport::latency`] and
     /// [`crate::cluster::ClusterReport::latency`]). Wall-clock time is a
     /// host measurement, not a simulation result: it varies run to run,
-    /// so every report type excludes it from equality, and in a cluster
-    /// it is meaningful only at the *cluster* level — all replica
-    /// engines share one host worker pool, so per-replica wall time is
-    /// not attributable and per-replica reports carry 0 here.
+    /// so every report type excludes it from equality. In a cluster each
+    /// replica engine measures its own rounds, so a replica report's
+    /// `wall_s` is positive and at most the cluster's, which also counts
+    /// the failure, hedge and gather bookkeeping.
     pub wall_s: f64,
     /// Wall-clock simulation throughput: simulated nanoseconds advanced
     /// per host second (0 when not measured; same host-measurement
@@ -64,28 +65,6 @@ impl LatencySummary {
             sim_ns_per_wall_s: 0.0,
         }
     }
-}
-
-/// One query's contribution to the per-tenant roll-up — the neutral shape
-/// both [`crate::serve::ServeReport`] and [`crate::cluster::ClusterReport`]
-/// lower their outcomes into before calling [`summarize_tenants`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantSample {
-    /// Tenant id of the query.
-    pub tenant: u32,
-    /// Whether the query completed on time.
-    pub completed: bool,
-    /// Whether it expired (deadline passed mid-flight or in queue).
-    pub expired: bool,
-    /// Whether it was rejected (queue overflow or shed at admission).
-    pub rejected: bool,
-    /// Whether an [`crate::serve::SloPolicy::ShedDoomed`] decision caused
-    /// the terminal state.
-    pub shed: bool,
-    /// Whether the query carried a deadline (counts toward attainment).
-    pub has_deadline: bool,
-    /// End-to-end latency; meaningful only when `completed`.
-    pub latency_ns: Nanos,
 }
 
 /// Per-tenant serving roll-up: outcome counts, SLO attainment and the
@@ -125,30 +104,31 @@ impl TenantSummary {
     }
 }
 
-/// Groups `samples` by tenant id (ascending) and rolls each group up into
-/// a [`TenantSummary`].
-pub fn summarize_tenants(samples: &[TenantSample]) -> Vec<TenantSummary> {
+/// Groups `outcomes` by tenant id (ascending) and rolls each group up
+/// into a [`TenantSummary`].
+pub fn summarize_tenants(outcomes: &[QueryOutcome]) -> Vec<TenantSummary> {
     let mut by_tenant: std::collections::BTreeMap<u32, (TenantSummary, Vec<Nanos>)> =
         std::collections::BTreeMap::new();
-    for s in samples {
-        let (summary, lats) = by_tenant.entry(s.tenant).or_insert_with(|| {
+    for o in outcomes {
+        let (summary, lats) = by_tenant.entry(o.tenant).or_insert_with(|| {
             (
                 TenantSummary {
-                    tenant: s.tenant,
+                    tenant: o.tenant,
                     ..TenantSummary::default()
                 },
                 Vec::new(),
             )
         });
+        let completed = o.state == SessionState::Completed;
         summary.submitted += 1;
-        summary.completed += usize::from(s.completed);
-        summary.expired += usize::from(s.expired);
-        summary.rejected += usize::from(s.rejected);
-        summary.shed += usize::from(s.shed);
-        summary.deadline_total += usize::from(s.has_deadline);
-        summary.deadline_met += usize::from(s.has_deadline && s.completed);
-        if s.completed {
-            lats.push(s.latency_ns);
+        summary.completed += usize::from(completed);
+        summary.expired += usize::from(o.state == SessionState::Expired);
+        summary.rejected += usize::from(o.state == SessionState::Rejected);
+        summary.shed += usize::from(o.shed);
+        summary.deadline_total += usize::from(o.deadline_ns.is_some());
+        summary.deadline_met += usize::from(o.deadline_ns.is_some() && completed);
+        if completed {
+            lats.push(o.latency_ns());
         }
     }
     by_tenant
@@ -179,6 +159,123 @@ pub fn tenant_p99_fairness(summaries: &[TenantSummary]) -> f64 {
     }
     p99s.iter().cloned().fold(0.0, f64::max) / mean
 }
+
+/// Implements the outcome accessors that [`crate::serve::ServeReport`] and
+/// [`crate::cluster::ClusterReport`] share, once for both, over the
+/// report's `outcomes` ([`QueryOutcome`]s), `update_outcomes`,
+/// `makespan_ns` and `wall_s` fields. A cluster query counts as
+/// `Completed` only if every shard completed it (see
+/// [`QueryOutcome::state`]).
+macro_rules! outcome_accessors {
+    ($report:ty) => {
+        impl $report {
+            /// Queries that ran to normal completion.
+            pub fn completed(&self) -> usize {
+                self.count($crate::serve::SessionState::Completed)
+            }
+
+            /// Queries rejected at arrival (backpressure, a malformed
+            /// request or a shed decision).
+            pub fn rejected(&self) -> usize {
+                self.count($crate::serve::SessionState::Rejected)
+            }
+
+            /// Queries cut off at their deadline.
+            pub fn expired(&self) -> usize {
+                self.count($crate::serve::SessionState::Expired)
+            }
+
+            fn count(&self, state: $crate::serve::SessionState) -> usize {
+                self.outcomes.iter().filter(|o| o.state == state).count()
+            }
+
+            /// Goodput: normally completed queries per second of makespan.
+            pub fn qps(&self) -> f64 {
+                if self.makespan_ns == 0 {
+                    0.0
+                } else {
+                    self.completed() as f64 / (self.makespan_ns as f64 / 1e9)
+                }
+            }
+
+            /// Wall-clock simulation throughput: simulated nanoseconds
+            /// advanced per host second spent simulating (0 when nothing
+            /// was measured).
+            pub fn sim_ns_per_wall_s(&self) -> f64 {
+                if self.wall_s > 0.0 {
+                    self.makespan_ns as f64 / self.wall_s
+                } else {
+                    0.0
+                }
+            }
+
+            /// Updates applied to completion.
+            pub fn updates_completed(&self) -> usize {
+                self.update_outcomes
+                    .iter()
+                    .filter(|o| o.state == $crate::serve::SessionState::Completed)
+                    .count()
+            }
+
+            /// Updates rejected (routing, backpressure, a malformed insert,
+            /// a missing vertex or an immutable deployment).
+            pub fn updates_rejected(&self) -> usize {
+                self.update_outcomes
+                    .iter()
+                    .filter(|o| o.state == $crate::serve::SessionState::Rejected)
+                    .count()
+            }
+
+            /// Latency order statistics over normally completed queries,
+            /// plus the wall-clock simulation-throughput fields.
+            pub fn latency(&self) -> $crate::report::LatencySummary {
+                let samples: Vec<ndsearch_flash::timing::Nanos> = self
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.state == $crate::serve::SessionState::Completed)
+                    .map(|o| o.latency_ns())
+                    .collect();
+                let mut summary = $crate::report::LatencySummary::from_samples(&samples);
+                summary.wall_s = self.wall_s;
+                summary.sim_ns_per_wall_s = self.sim_ns_per_wall_s();
+                summary
+            }
+
+            /// Queries terminated by a
+            /// [`SloPolicy::ShedDoomed`](crate::serve::SloPolicy::ShedDoomed)
+            /// decision.
+            pub fn sheds(&self) -> usize {
+                self.outcomes.iter().filter(|o| o.shed).count()
+            }
+
+            /// SLO attainment: the fraction of deadline-carrying queries
+            /// that completed on time; `1.0` when none carried a deadline.
+            pub fn slo_attainment(&self) -> f64 {
+                let with_deadline = || self.outcomes.iter().filter(|o| o.deadline_ns.is_some());
+                let total = with_deadline().count();
+                let met = with_deadline().filter(|o| o.on_time()).count();
+                if total == 0 {
+                    1.0
+                } else {
+                    met as f64 / total as f64
+                }
+            }
+
+            /// Per-tenant roll-ups (counts, attainment, latency), ascending
+            /// by tenant id.
+            pub fn tenant_summaries(&self) -> Vec<$crate::report::TenantSummary> {
+                $crate::report::summarize_tenants(&self.outcomes)
+            }
+
+            /// Fairness metric: max over mean of the per-tenant p99
+            /// latencies (see [`crate::report::tenant_p99_fairness`]).
+            pub fn tenant_p99_fairness(&self) -> f64 {
+                $crate::report::tenant_p99_fairness(&self.tenant_summaries())
+            }
+        }
+    };
+}
+pub(crate) use outcome_accessors;
 
 /// Where the execution time went (the categories of Fig. 17).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -359,22 +456,30 @@ mod tests {
 
     #[test]
     fn tenant_rollup_counts_and_fairness() {
-        let mk = |tenant: u32, completed: bool, latency_ns: Nanos, shed: bool| TenantSample {
+        let mk = |tenant: u32, completed: bool, latency_ns: Nanos, shed: bool| QueryOutcome {
+            id: 0,
+            state: if completed {
+                SessionState::Completed
+            } else {
+                SessionState::Rejected
+            },
+            arrival_ns: 0,
+            admitted_ns: 0,
+            completed_ns: latency_ns,
+            hops: 0,
+            rounds_inflight: 0,
+            results: Vec::new(),
             tenant,
-            completed,
-            expired: !completed && !shed,
-            rejected: shed,
+            deadline_ns: Some(1_000),
             shed,
-            has_deadline: true,
-            latency_ns,
         };
-        let samples = vec![
+        let outcomes = vec![
             mk(1, true, 100, false),
             mk(1, true, 300, false),
             mk(1, false, 0, true),
             mk(0, true, 100, false),
         ];
-        let ts = summarize_tenants(&samples);
+        let ts = summarize_tenants(&outcomes);
         assert_eq!(ts.len(), 2);
         assert_eq!((ts[0].tenant, ts[1].tenant), (0, 1), "ascending tenant id");
         assert_eq!(ts[1].submitted, 3);

@@ -37,7 +37,7 @@
 //!   after a round's searches, so mixed query+update serving replays
 //!   bit-identically;
 //! * [`ServeReport`] — QPS over the makespan, per-query latency order
-//!   statistics ([`LatencySummary`]), wall-clock simulation
+//!   statistics ([`LatencySummary`](crate::report::LatencySummary)), wall-clock simulation
 //!   throughput (`wall_s` / [`ServeReport::sim_ns_per_wall_s`]), and the
 //!   update stream's outcomes, throughput
 //!   ([`ServeReport::update_qps`]) and write amplification.
@@ -102,7 +102,7 @@ use crate::deploy::{Deployment, UpdateTotals};
 use crate::engine::{execute_round, sorting_tail, RoundSinks};
 use crate::pipeline::Prepared;
 use crate::qpt::QueryPropertyTable;
-use crate::report::{LatencyBreakdown, LatencySummary};
+use crate::report::LatencyBreakdown;
 
 /// Identifier of a submitted query session (dense, in submission order).
 pub type QueryId = usize;
@@ -315,8 +315,8 @@ pub struct UpdateOutcome {
     /// Update id (submission order).
     pub id: UpdateId,
     /// Terminal state: `Completed`, or `Rejected` (queue overflow, shape
-    /// mismatch, delete of a missing/tombstoned vertex, or an immutable
-    /// deployment).
+    /// mismatch, a non-finite insert, delete of a missing/tombstoned
+    /// vertex, or an immutable deployment).
     pub state: SessionState,
     /// When the update arrived.
     pub arrival_ns: Nanos,
@@ -333,6 +333,21 @@ pub struct UpdateOutcome {
 }
 
 impl UpdateOutcome {
+    /// The record of update `id`, rejected at `arrival_ns` without being
+    /// applied.
+    pub(crate) fn rejected(id: UpdateId, arrival_ns: Nanos) -> Self {
+        Self {
+            id,
+            state: SessionState::Rejected,
+            arrival_ns,
+            admitted_ns: arrival_ns,
+            completed_ns: arrival_ns,
+            assigned: None,
+            repaired: 0,
+            pages_programmed: 0,
+        }
+    }
+
     /// End-to-end latency the ingesting client observed.
     pub fn latency_ns(&self) -> Nanos {
         self.completed_ns.saturating_sub(self.arrival_ns)
@@ -357,31 +372,55 @@ pub enum SessionState {
     Expired,
 }
 
-/// Final record of one session, reported by [`ServeReport`].
+impl SessionState {
+    /// Whether the state is final: `Completed`, `Rejected` or `Expired`.
+    pub fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            SessionState::Completed | SessionState::Rejected | SessionState::Expired
+        )
+    }
+}
+
+/// Final record of one query, reported by [`ServeReport`] for a session
+/// and by [`ClusterReport`](crate::cluster::ClusterReport) for the gather
+/// of a query's per-shard sessions. In a cluster, "the winning copies"
+/// are the copies that answer for their shards (per shard, the primary
+/// or a hedge that completed first — see
+/// [`ReplicaPolicy::Hedged`](crate::cluster::ReplicaPolicy::Hedged)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Session id (submission order).
+    /// Query id (submission order).
     pub id: QueryId,
     /// Terminal state ([`SessionState::Completed`], `Rejected` or
-    /// `Expired`).
+    /// `Expired`). In a cluster: `Completed` only if every shard
+    /// completed; `Rejected` if any shard rejected; otherwise `Expired`
+    /// if any shard cut the query off at the deadline.
     pub state: SessionState,
     /// When the query arrived.
     pub arrival_ns: Nanos,
     /// When it was admitted into execution (equals `completed_ns` for
-    /// rejected sessions, which never ran).
+    /// rejected sessions, which never ran). In a cluster: the latest
+    /// admission among the winning copies.
     pub admitted_ns: Nanos,
-    /// When its results were back at the host.
+    /// When its results were back at the host. In a cluster: the latest
+    /// completion among the winning copies — the gather cannot merge
+    /// before the slowest shard has answered.
     pub completed_ns: Nanos,
-    /// Beam-search hops it executed.
+    /// Beam-search hops it executed. In a cluster: summed over every copy
+    /// on every shard, **including** hedges and copies abandoned by a
+    /// failover.
     pub hops: usize,
     /// Scheduling rounds it spent in flight. Fairness: the round-robin
     /// scheduler advances every in-flight session once per round, so for a
     /// session that ran to completion this exceeds `hops` by at most one
     /// (a final drain round, when the remaining candidates turn out to be
-    /// fully visited) — a session never starves in flight.
+    /// fully visited) — a session never starves in flight. In a cluster:
+    /// the largest value among the winning copies.
     pub rounds_inflight: usize,
     /// Top-k neighbors, ascending by distance (partial if `Expired`,
-    /// empty if `Rejected`).
+    /// empty if `Rejected`). In a cluster: the merged top-k in **global**
+    /// ids, ascending `(distance, id)`.
     pub results: Vec<Neighbor>,
     /// Tenant the query belonged to.
     pub tenant: u32,
@@ -389,7 +428,8 @@ pub struct QueryOutcome {
     pub deadline_ns: Option<Nanos>,
     /// Whether a [`SloPolicy::ShedDoomed`] decision produced the terminal
     /// state (a shed session is `Rejected` from the queue or `Expired`
-    /// from flight — never silently dropped).
+    /// from flight — never silently dropped). In a cluster: whether any
+    /// winning copy was shed.
     pub shed: bool,
 }
 
@@ -463,61 +503,9 @@ impl PartialEq for ServeReport {
     }
 }
 
+crate::report::outcome_accessors!(ServeReport);
+
 impl ServeReport {
-    /// Wall-clock simulation throughput: simulated nanoseconds advanced
-    /// per host second spent simulating (0 when nothing was measured).
-    pub fn sim_ns_per_wall_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.makespan_ns as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Sessions that ran to normal completion.
-    pub fn completed(&self) -> usize {
-        self.count(SessionState::Completed)
-    }
-
-    /// Sessions rejected by backpressure.
-    pub fn rejected(&self) -> usize {
-        self.count(SessionState::Rejected)
-    }
-
-    /// Sessions cut off at their deadline.
-    pub fn expired(&self) -> usize {
-        self.count(SessionState::Expired)
-    }
-
-    fn count(&self, s: SessionState) -> usize {
-        self.outcomes.iter().filter(|o| o.state == s).count()
-    }
-
-    /// Goodput: normally completed queries per second of makespan.
-    pub fn qps(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.completed() as f64 / (self.makespan_ns as f64 / 1e9)
-        }
-    }
-
-    /// Updates applied to completion.
-    pub fn updates_completed(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .count()
-    }
-
-    /// Updates rejected (backpressure, shape mismatch, missing vertex).
-    pub fn updates_rejected(&self) -> usize {
-        self.update_outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Rejected)
-            .count()
-    }
-
     /// Update throughput: completed updates per second of makespan.
     pub fn update_qps(&self) -> f64 {
         if self.makespan_ns == 0 {
@@ -532,85 +520,6 @@ impl ServeReport {
     pub fn write_amplification(&self) -> f64 {
         self.updates.write_amplification()
     }
-
-    /// Latency order statistics over normally completed sessions, plus
-    /// the wall-clock simulation-throughput fields.
-    pub fn latency(&self) -> LatencySummary {
-        let samples: Vec<Nanos> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.state == SessionState::Completed)
-            .map(|o| o.latency_ns())
-            .collect();
-        let mut summary = LatencySummary::from_samples(&samples);
-        summary.wall_s = self.wall_s;
-        summary.sim_ns_per_wall_s = self.sim_ns_per_wall_s();
-        summary
-    }
-
-    /// Sessions terminated by a [`SloPolicy::ShedDoomed`] decision.
-    pub fn sheds(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.shed).count()
-    }
-
-    /// SLO attainment: the fraction of deadline-carrying sessions that
-    /// completed on time; `1.0` when no session carried a deadline.
-    pub fn slo_attainment(&self) -> f64 {
-        slo_attainment_of(self.outcomes.iter().map(|o| (o.deadline_ns, o.state)))
-    }
-
-    /// Per-tenant roll-ups (counts, attainment, latency), ascending by
-    /// tenant id.
-    pub fn tenant_summaries(&self) -> Vec<crate::report::TenantSummary> {
-        crate::report::summarize_tenants(&tenant_samples(self.outcomes.iter().map(outcome_sample)))
-    }
-
-    /// Fairness metric: max over mean of the per-tenant p99 latencies
-    /// (see [`crate::report::tenant_p99_fairness`]).
-    pub fn tenant_p99_fairness(&self) -> f64 {
-        crate::report::tenant_p99_fairness(&self.tenant_summaries())
-    }
-}
-
-/// Shared attainment arithmetic for serve and cluster reports.
-pub(crate) fn slo_attainment_of(
-    outcomes: impl Iterator<Item = (Option<Nanos>, SessionState)>,
-) -> f64 {
-    let (mut with_deadline, mut met) = (0usize, 0usize);
-    for (deadline, state) in outcomes {
-        if deadline.is_some() {
-            with_deadline += 1;
-            met += usize::from(state == SessionState::Completed);
-        }
-    }
-    if with_deadline == 0 {
-        1.0
-    } else {
-        met as f64 / with_deadline as f64
-    }
-}
-
-/// Lowers `(tenant, state, shed, deadline, latency)` tuples into
-/// [`crate::report::TenantSample`]s.
-pub(crate) fn tenant_samples(
-    rows: impl Iterator<Item = (u32, SessionState, bool, Option<Nanos>, Nanos)>,
-) -> Vec<crate::report::TenantSample> {
-    rows.map(
-        |(tenant, state, shed, deadline_ns, latency_ns)| crate::report::TenantSample {
-            tenant,
-            completed: state == SessionState::Completed,
-            expired: state == SessionState::Expired,
-            rejected: state == SessionState::Rejected,
-            shed,
-            has_deadline: deadline_ns.is_some(),
-            latency_ns,
-        },
-    )
-    .collect()
-}
-
-fn outcome_sample(o: &QueryOutcome) -> (u32, SessionState, bool, Option<Nanos>, Nanos) {
-    (o.tenant, o.state, o.shed, o.deadline_ns, o.latency_ns())
 }
 
 /// Internal per-session state. The searcher (which owns a dataset-sized
@@ -639,28 +548,6 @@ struct Session {
     k: usize,
     /// Set when a shed decision produced the terminal state.
     shed: bool,
-}
-
-impl Session {
-    /// Tears down the searcher, snapshotting its hop count and best-`k`
-    /// results into the session record. Tombstoned vertices are filtered
-    /// out of the reported list: a deleted vector may still have routed
-    /// the search, but it must never be returned to a client.
-    fn finish(
-        &mut self,
-        state: SessionState,
-        completed_ns: Nanos,
-        deleted: &dyn Fn(VectorId) -> bool,
-    ) {
-        self.state = state;
-        self.completed_ns = completed_ns;
-        if let Some(searcher) = self.searcher.take() {
-            self.hops = searcher.hops();
-            self.results = searcher.found();
-            self.results.retain(|n| !deleted(n.id));
-            self.results.truncate(self.k);
-        }
-    }
 }
 
 /// Internal per-update state (the op is taken when applied).
@@ -867,10 +754,7 @@ impl<'a> ServeEngine<'a> {
             shed: false,
         });
         if malformed {
-            let s = &mut self.sessions[id];
-            s.state = SessionState::Rejected;
-            s.admitted_ns = arrival;
-            s.completed_ns = arrival;
+            self.terminate(id, SessionState::Rejected, arrival, false);
         } else {
             self.arrivals.push(Reverse((arrival, id)));
             self.first_arrival_ns = Some(self.first_arrival_ns.map_or(arrival, |f| f.min(arrival)));
@@ -880,11 +764,15 @@ impl<'a> ServeEngine<'a> {
 
     /// Registers an update session and returns its id. Arrival times in
     /// the past are clamped to the current simulated time. Updates on a
-    /// query-only deployment are rejected immediately.
+    /// query-only deployment, and inserts holding a non-finite value, are
+    /// `Rejected` at their arrival time without counting toward the
+    /// makespan (an insert of the wrong dimension is rejected when the
+    /// scheduler applies it).
     pub fn submit_update(&mut self, req: UpdateRequest) -> UpdateId {
         let id = self.update_sessions.len();
         let arrival = req.arrival_ns.max(self.now_ns);
-        let state = if self.deploy.is_mutable() {
+        let non_finite = matches!(&req.op, UpdateOp::Insert(v) if v.iter().any(|x| !x.is_finite()));
+        let state = if self.deploy.is_mutable() && !non_finite {
             SessionState::Pending
         } else {
             SessionState::Rejected
@@ -919,12 +807,14 @@ impl<'a> ServeEngine<'a> {
     /// Final (or partial, if expired) results of a terminal session;
     /// `None` while it is still pending/queued/running.
     pub fn results(&self, id: QueryId) -> Option<&[Neighbor]> {
-        match self.sessions[id].state {
-            SessionState::Completed | SessionState::Expired | SessionState::Rejected => {
-                Some(&self.sessions[id].results)
-            }
-            _ => None,
-        }
+        let s = &self.sessions[id];
+        s.state.is_terminal().then_some(&s.results[..])
+    }
+
+    /// When a terminal session's results were back at the host (0 while
+    /// it is still pending/queued/running).
+    pub(crate) fn completed_ns(&self, id: QueryId) -> Nanos {
+        self.sessions[id].completed_ns
     }
 
     /// Current simulated time.
@@ -963,13 +853,10 @@ impl<'a> ServeEngine<'a> {
                 break;
             }
             self.arrivals.pop();
-            let s = &mut self.sessions[id];
             if self.queue.len() >= self.serve.queue_capacity {
-                s.state = SessionState::Rejected;
-                s.admitted_ns = t;
-                s.completed_ns = t;
+                self.terminate(id, SessionState::Rejected, t, false);
             } else {
-                s.state = SessionState::Queued;
+                self.sessions[id].state = SessionState::Queued;
                 self.queue.push_back(id);
             }
         }
@@ -996,47 +883,65 @@ impl<'a> ServeEngine<'a> {
     /// top-k.
     fn expire_due(&mut self) {
         let now = self.now_ns;
-        let due = |s: &Session| s.deadline_ns.is_some_and(|d| d <= now);
-        let expired_inflight: Vec<QueryId> = self
-            .inflight
-            .iter()
-            .copied()
-            .filter(|&id| due(&self.sessions[id]))
-            .collect();
-        self.inflight.retain(|&id| !due(&self.sessions[id]));
-        for id in expired_inflight {
+        let (inflight, queued) = self.take_sessions(|s| s.deadline_ns.is_some_and(|d| d <= now));
+        for id in inflight {
             // Partial results still travel the full Sorting-stage path.
             let tail = self.completion_tail_ns();
-            let deploy = &self.deploy;
-            self.sessions[id].finish(SessionState::Expired, now + tail, &|v| deploy.is_deleted(v));
-            self.last_completion_ns = self.last_completion_ns.max(now + tail);
+            self.terminate(id, SessionState::Expired, now + tail, false);
         }
-        let sessions = &mut self.sessions;
-        let mut newly_expired = Vec::new();
-        self.queue.retain(|&id| {
-            if sessions[id].deadline_ns.is_some_and(|d| d <= now) {
-                newly_expired.push(id);
-                false
-            } else {
-                true
-            }
-        });
-        for id in newly_expired {
-            let s = &mut self.sessions[id];
-            s.state = SessionState::Expired;
-            s.admitted_ns = now;
-            s.completed_ns = now;
+        for id in queued {
+            self.terminate(id, SessionState::Expired, now, false);
         }
-        self.last_completion_ns = self.last_completion_ns.max(now);
     }
 
-    /// The [`SloPolicy::ShedDoomed`] estimator: when a session with
-    /// `hops_done` hops behind it is expected to finish, from the observed
+    /// Removes every session `pick` selects from flight and from the
+    /// admission queue, returning the in-flight and the queued picks, each
+    /// in its list's order.
+    fn take_sessions(&mut self, pick: impl Fn(&Session) -> bool) -> (Vec<QueryId>, Vec<QueryId>) {
+        let sessions = &self.sessions;
+        let picked = |id: &QueryId| pick(&sessions[*id]);
+        let inflight = self.inflight.iter().copied().filter(picked).collect();
+        let queued = self.queue.iter().copied().filter(picked).collect();
+        self.inflight.retain(|id| !picked(id));
+        self.queue.retain(|id| !picked(id));
+        (inflight, queued)
+    }
+
+    /// Ends session `id` in the terminal `state` at `at_ns`, flagging
+    /// whether a shed decision caused it. A session that ran has its
+    /// searcher torn down: the hop count and best-`k` results are
+    /// snapshotted into the session record, with tombstoned vertices
+    /// filtered out (a deleted vector may still have routed the search,
+    /// but it must never be returned to a client). A session that never
+    /// ran is admitted and terminated at the same instant. The session's
+    /// end extends the makespan unless it was rejected: a rejected
+    /// session never ran, so it never occupied the device.
+    fn terminate(&mut self, id: QueryId, state: SessionState, at_ns: Nanos, shed: bool) {
+        let s = &mut self.sessions[id];
+        match s.searcher.take() {
+            Some(searcher) => {
+                s.hops = searcher.hops();
+                s.results = searcher.found();
+                s.results.retain(|n| !self.deploy.is_deleted(n.id));
+                s.results.truncate(s.k);
+            }
+            None => s.admitted_ns = at_ns,
+        }
+        s.state = state;
+        s.completed_ns = at_ns;
+        s.shed = shed;
+        if state != SessionState::Rejected {
+            self.last_completion_ns = self.last_completion_ns.max(at_ns);
+        }
+    }
+
+    /// The [`SloPolicy::ShedDoomed`] estimator: maps the hops a session
+    /// has behind it to when it is expected to finish, from the observed
     /// mean duration of hop-executing rounds and the observed mean hop
     /// count of finished searches ([`ServeConfig::beam_width`] before any
-    /// search finishes). Returns `now` until the first hop round has been
-    /// observed — the engine starts optimistic and sheds nothing.
-    fn estimated_finish_ns(&self, hops_done: usize) -> Nanos {
+    /// search finishes). Estimates `now` until the first hop round has
+    /// been observed — the engine starts optimistic and sheds nothing.
+    fn finish_estimate(&self) -> impl Fn(usize) -> Nanos {
         let per_hop_ns = self
             .hop_round_ns_total
             .checked_div(self.hop_rounds)
@@ -1045,9 +950,11 @@ impl<'a> ServeEngine<'a> {
             .finished_hops_total
             .checked_div(self.finished_searches)
             .map_or(self.serve.beam_width as u64, |h| h.max(1));
-        let remaining = expected_hops.saturating_sub(hops_done as u64).max(1);
-        self.now_ns
-            .saturating_add(remaining.saturating_mul(per_hop_ns))
+        let now = self.now_ns;
+        move |hops_done| {
+            let remaining = expected_hops.saturating_sub(hops_done as u64).max(1);
+            now.saturating_add(remaining.saturating_mul(per_hop_ns))
+        }
     }
 
     /// [`SloPolicy::ShedDoomed`]: terminates deadline-carrying sessions
@@ -1061,46 +968,20 @@ impl<'a> ServeEngine<'a> {
             return;
         };
         let now = self.now_ns;
-        let doomed = |est: Nanos, deadline: Option<Nanos>| {
-            deadline.is_some_and(|d| est.saturating_add(min_slack_ns) > d)
-        };
-        let doomed_inflight: Vec<QueryId> = self
-            .inflight
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let s = &self.sessions[id];
-                let hops_done = s.searcher.as_ref().map_or(s.hops, |b| b.hops());
-                doomed(self.estimated_finish_ns(hops_done), s.deadline_ns)
-            })
-            .collect();
-        self.inflight.retain(|&id| !doomed_inflight.contains(&id));
-        for id in doomed_inflight {
-            let tail = self.completion_tail_ns();
-            let deploy = &self.deploy;
-            self.sessions[id].finish(SessionState::Expired, now + tail, &|v| deploy.is_deleted(v));
-            self.sessions[id].shed = true;
-            self.last_completion_ns = self.last_completion_ns.max(now + tail);
-        }
-        let queued_estimate = self.estimated_finish_ns(0);
-        let sessions = &mut self.sessions;
-        let mut shed_queued = Vec::new();
-        self.queue.retain(|&id| {
-            if doomed(queued_estimate, sessions[id].deadline_ns) {
-                shed_queued.push(id);
-                false
-            } else {
-                true
-            }
+        let estimate = self.finish_estimate();
+        let (inflight, queued) = self.take_sessions(|s| {
+            // A queued session has no searcher and no hops behind it.
+            let hops_done = s.searcher.as_ref().map_or(s.hops, |b| b.hops());
+            s.deadline_ns
+                .is_some_and(|d| estimate(hops_done).saturating_add(min_slack_ns) > d)
         });
-        for id in shed_queued {
-            let s = &mut self.sessions[id];
-            s.state = SessionState::Rejected;
-            s.admitted_ns = now;
-            s.completed_ns = now;
-            s.shed = true;
+        for id in inflight {
+            let tail = self.completion_tail_ns();
+            self.terminate(id, SessionState::Expired, now + tail, true);
         }
-        self.last_completion_ns = self.last_completion_ns.max(now);
+        for id in queued {
+            self.terminate(id, SessionState::Rejected, now, true);
+        }
     }
 
     /// Simulated duration of one quantized scheduling round: the hops'
@@ -1298,13 +1179,11 @@ impl<'a> ServeEngine<'a> {
                 Some(d) if done_ns > d => SessionState::Expired,
                 _ => SessionState::Completed,
             };
-            let deploy = &self.deploy;
-            self.sessions[id].finish(state, done_ns, &|v| deploy.is_deleted(v));
+            self.terminate(id, state, done_ns, false);
             // Feed the shed estimator's expected-hops prior: this session
             // ran its search to the end (even if it expired at the tail).
             self.finished_hops_total += self.sessions[id].hops as u64;
             self.finished_searches += 1;
-            self.last_completion_ns = self.last_completion_ns.max(done_ns);
         }
 
         // ---- Apply admitted updates, in admission order, after the
@@ -1422,7 +1301,6 @@ impl<'a> ServeEngine<'a> {
             }
         }
         s.completed_ns = self.now_ns;
-        self.last_completion_ns = self.last_completion_ns.max(self.now_ns);
     }
 
     /// Drives the scheduler until every session is terminal and returns
@@ -1444,7 +1322,6 @@ impl<'a> ServeEngine<'a> {
         self.breakdown.program_ns += report.duration_ns;
         self.stats.page_programs += report.pages_programmed;
         self.stats.block_erases += report.blocks_erased;
-        self.last_completion_ns = self.last_completion_ns.max(self.now_ns);
         Some(report)
     }
 
@@ -1912,6 +1789,46 @@ mod tests {
             "tombstoned vertex leaked into results"
         );
         assert!(!report.outcomes[q].results.is_empty());
+    }
+
+    #[test]
+    fn non_finite_insert_is_rejected() {
+        let fx = fixture(300, 1);
+        let valid = fx.queries.vector(0).to_vec();
+        let (mut alone, _) = mutable_engine(&fx, ServeConfig::default());
+        alone.submit_update(UpdateRequest::insert_at(0, valid.clone()));
+        let want = alone.run_to_completion();
+
+        // All-NaN, one +inf and one -inf component, each arriving long
+        // after the valid insert is durable.
+        let mut bad = vec![vec![f32::NAN; valid.len()]];
+        for x in [f32::INFINITY, f32::NEG_INFINITY] {
+            let mut v = valid.clone();
+            v[3] = x;
+            bad.push(v);
+        }
+        let (mut engine, _) = mutable_engine(&fx, ServeConfig::default());
+        let ok = engine.submit_update(UpdateRequest::insert_at(0, valid));
+        let bad_ids: Vec<UpdateId> = bad
+            .into_iter()
+            .map(|v| engine.submit_update(UpdateRequest::insert_at(1_000_000, v)))
+            .collect();
+        for &id in &bad_ids {
+            assert_eq!(engine.poll_update(id), SessionState::Rejected);
+        }
+        let got = engine.run_to_completion();
+        for &id in &bad_ids {
+            assert_eq!(
+                got.update_outcomes[id],
+                UpdateOutcome::rejected(id, 1_000_000)
+            );
+        }
+        assert_eq!(got.update_outcomes[ok], want.update_outcomes[0]);
+        assert_eq!(got.update_outcomes[ok].assigned, Some(300));
+        assert_eq!(engine.deployment().live_count(), 301);
+        assert_eq!(got.makespan_ns, want.makespan_ns);
+        assert_eq!(got.updates, want.updates);
+        assert_eq!(got.stats, want.stats);
     }
 
     #[test]

@@ -351,6 +351,23 @@ fn shed_doomed_never_sheds_a_meetable_query() {
     };
     let unshed = run_with(SloPolicy::None);
     let shed = run_with(SloPolicy::ShedDoomed { min_slack_ns: 0 });
+    // Every terminal record is well formed, whichever path ended it.
+    for o in unshed.outcomes.iter().chain(&shed.outcomes) {
+        assert!(
+            o.arrival_ns <= o.admitted_ns && o.admitted_ns <= o.completed_ns,
+            "query {}: arrival {} / admitted {} / completed {} out of order",
+            o.id,
+            o.arrival_ns,
+            o.admitted_ns,
+            o.completed_ns
+        );
+        if o.state == SessionState::Rejected {
+            assert!(o.results.is_empty() && o.hops == 0, "query {}", o.id);
+        }
+        if o.shed {
+            assert_ne!(o.state, SessionState::Completed, "query {}", o.id);
+        }
+    }
     assert_eq!(shed.sheds(), 0, "meetable deadlines must never shed");
     assert_eq!(shed, unshed, "a shed-free run must match SloPolicy::None");
     assert_eq!(shed.completed(), queries.len());
